@@ -107,8 +107,8 @@ def dense_general_eig(g) -> tuple[np.ndarray, np.ndarray]:
     """
     g = np.asarray(g, dtype=np.complex128)
     try:
-        w, y = sla.eig(g)
-    except (sla.LinAlgError, ValueError) as exc:
+        w, y = np.linalg.eig(g)
+    except (np.linalg.LinAlgError, ValueError) as exc:
         raise NumericalError(f"general eigensolver failed: {exc}") from exc
     if not np.all(np.isfinite(w)):
         raise NumericalError("general eigensolver returned non-finite eigenvalues")

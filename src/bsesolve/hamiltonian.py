@@ -14,7 +14,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ValidationError
 from .metrics import PhaseLedger
@@ -205,13 +204,33 @@ def validate_pseudo_hermitian(h_dense) -> tuple[bool, float]:
     return defect <= SYMMETRY_RTOL * scale, defect
 
 
+def real_symmetric_form(ham: BseHamiltonian) -> np.ndarray:
+    """The real symmetric n x n matrix R unitarily similar to S H.
+
+    R = [[Re(A+B), Im(B-A)], [Im(A+B), Re(A-B)]] equals Q* (S H) Q for the
+    unitary Q = [[I, iI], [I, -iI]] / sqrt(2) (Shao, da Jornada, Yang,
+    Deslippe & Lin, LAA 488, 2016), so it has the spectrum of S H at half
+    the storage of the complex form.  Filled block by block into one
+    Fortran-order float64 array.
+    """
+    m = ham.m
+    ar, ai = ham.a.real, ham.a.imag
+    br, bi = ham.b.real, ham.b.imag
+    r = np.empty((ham.n, ham.n), dtype=np.float64, order="F")
+    np.add(ar, br, out=r[:m, :m])
+    np.subtract(bi, ai, out=r[:m, m:])
+    np.add(ai, bi, out=r[m:, :m])
+    np.subtract(ar, br, out=r[m:, m:])
+    return r
+
+
 def is_definite(ham: BseHamiltonian) -> Definiteness:
-    """Classify S H by attempting its Cholesky factorization (cached)."""
+    """Classify S H by a Cholesky factorization of its real form (cached)."""
     if ham.definiteness is not Definiteness.UNKNOWN:
         return ham.definiteness
     try:
-        sla.cholesky(materialize_sh(ham), lower=True)
-    except sla.LinAlgError:
+        np.linalg.cholesky(real_symmetric_form(ham))
+    except np.linalg.LinAlgError:
         ham.definiteness = Definiteness.INDEFINITE
     else:
         ham.definiteness = Definiteness.DEFINITE

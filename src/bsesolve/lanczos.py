@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import rng
 from .errors import IndefiniteError, LanczosBreakdownError, ValidationError
@@ -43,11 +42,6 @@ class SpectralBounds:
     steps: int
     ritz_values: np.ndarray
     ritz_weights: np.ndarray
-
-    @property
-    def nodes(self) -> list[tuple[float, float]]:
-        """(theta_i, tau_i^2) pairs of the density surrogate."""
-        return list(zip(self.ritz_values.tolist(), self.ritz_weights.tolist()))
 
 
 def _tridiagonal_pass(
@@ -99,32 +93,35 @@ def estimate_bounds(
 
     mu_1 is the smallest Ritz value inflated by SAFETY_INFLATION, mu_n its
     reflection, and mu_nevex the density cutoff where the cumulative Ritz
-    weight over the negative nodes reaches nevex/n.  Breakdown before 4
-    completed steps restarts from a fresh seeded vector, at most
-    MAX_RESTARTS times.
+    weight over the negative nodes reaches nevex/n.  Breakdown before
+    min(4, steps, n) completed steps restarts from a fresh seeded vector,
+    at most MAX_RESTARTS times.
     """
     if steps < 2 or steps % 2:
         raise ValidationError(f"steps must be even and >= 2, got {steps}")
     if nevex < 0 or nevex > ham.n // 2:
         raise ValidationError(f"nevex must lie in [0, n/2], got {nevex}")
 
+    # an n-dimensional space holds at most n Lanczos vectors
+    needed = min(4, steps, ham.n)
     alphas = np.empty(0)
     betas = np.empty(0)
     for attempt in range(MAX_RESTARTS + 1):
         start = rng.complex_normals(rng.substream(seed, attempt), ham.n)
         alphas, betas, broke_early = _tridiagonal_pass(ham, start, steps, ledger)
-        if not broke_early or len(alphas) >= min(4, steps):
+        if not broke_early or len(alphas) >= needed:
             break
-    if len(alphas) < min(4, steps):
+    if len(alphas) < needed:
         raise LanczosBreakdownError(
-            f"Lanczos broke down before {min(4, steps)} steps on "
+            f"Lanczos broke down before {needed} steps on "
             f"{MAX_RESTARTS + 1} start vectors"
         )
     if len(alphas) % 2:  # keep the even-step convention after truncation
         alphas = alphas[:-1]
         betas = betas[: len(alphas) - 1]
 
-    theta, y = sla.eigh_tridiagonal(alphas, betas)
+    tridiagonal = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+    theta, y = np.linalg.eigh(tridiagonal)
     weights = y[0, :] ** 2
 
     theta_min = float(theta[0])

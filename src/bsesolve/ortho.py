@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import RankDeficiencyError
 from .hamiltonian import apply_s
@@ -55,16 +54,6 @@ class SearchSpace:
     @property
     def locked_cols(self) -> np.ndarray:
         return self.q[:, : self.locked]
-
-    @property
-    def q1(self) -> np.ndarray:
-        """Upper half rows (columns restricted by callers as needed)."""
-        return self.q[: self.m]
-
-    @property
-    def q2(self) -> np.ndarray:
-        """Lower half rows."""
-        return self.q[self.m:]
 
 
 def fix_column_phases(q: np.ndarray) -> np.ndarray:
@@ -115,9 +104,9 @@ def cholqr_with_fallback(
         gram = q.conj().T @ q
         gram = (gram + gram.conj().T) / 2.0
         try:
-            r = sla.cholesky(gram, lower=False)
-            q = sla.solve_triangular(r, q.T, trans="T", lower=False).T
-        except sla.LinAlgError:
+            ell = np.linalg.cholesky(gram)  # gram = R* R with R = L*
+            q = q @ np.linalg.inv(ell).conj().T  # Q R^{-1}
+        except np.linalg.LinAlgError:
             method = "householder"
             break
     if method == "cholqr":

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .direct import cond_of_h, dense_general_eig, dense_hermitian_eig, rho_sh
 from .errors import HermitianRqError, ValidationError
@@ -119,20 +118,19 @@ def build_hermitian_rq(
             f"|lambda_min(Q*SQ)| = {lam_min_m:.3e} below {M_SINGULARITY_TOL:.0e}"
         )
     try:
-        ell = sla.cholesky(w, lower=True)
-    except sla.LinAlgError as exc:
+        ell = np.linalg.cholesky(w)
+        ell_inv = np.linalg.inv(ell)
+    except np.linalg.LinAlgError as exc:
         raise HermitianRqError(
             "Cholesky of Q*SHQ failed; S*H is not definite on the subspace"
         ) from exc
-    g = sla.solve_triangular(ell, mqsq, lower=True)
-    g = sla.solve_triangular(ell, g.conj().T, lower=True).conj().T
+    g = ell_inv @ mqsq @ ell_inv.conj().T
     g = (g + g.conj().T) / 2.0
     theta, y = dense_hermitian_eig(g)
     if np.abs(theta).min() < np.finfo(float).eps:
         raise HermitianRqError("reduced spectrum touches zero; cannot invert")
     lam = 1.0 / theta
-    wvec = sla.solve_triangular(ell.conj().T, y, lower=False)
-    vectors = q @ wvec
+    vectors = q @ (ell_inv.conj().T @ y)
     vectors /= np.linalg.norm(vectors, axis=0)
     lam, vectors = _ritz_sorted(lam, vectors)
     if ledger is not None:
@@ -237,7 +235,7 @@ def diagnostics(
     if ham.n <= _EXACT_NORM_LIMIT:
         dense = materialize(ham)
         shift_norms = np.array(
-            [sla.svdvals(dense - lam * np.eye(ham.n))[0] for lam in ritz.values]
+            [np.linalg.norm(dense - lam * np.eye(ham.n), 2) for lam in ritz.values]
         )
     else:
         shift_norms = radius + np.abs(ritz.values)

@@ -2,6 +2,7 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from bsesolve import (
     BseHamiltonian,
@@ -20,6 +21,7 @@ from bsesolve import (
     materialize_sh,
     validate_pseudo_hermitian,
 )
+from bsesolve.hamiltonian import real_symmetric_form
 from bsesolve.metrics import PhaseLedger
 
 from conftest import LAM2
@@ -173,6 +175,84 @@ class TestDefiniteness:
     def test_sh_is_hermitian(self, ham_small):
         sh = materialize_sh(ham_small)
         assert np.abs(sh - sh.conj().T).max() <= 1e-12 * np.abs(sh).max()
+
+
+def _complex_cholesky_class(ham):
+    """Reference classification: Cholesky of the complex S H (LAPACK zpotrf)."""
+    try:
+        sla.cholesky(materialize_sh(ham), lower=True)
+    except sla.LinAlgError:
+        return Definiteness.INDEFINITE
+    return Definiteness.DEFINITE
+
+
+def _shifted(ham, lam_min_target):
+    """ham with A shifted so that lambda_min(S H) sits at lam_min_target.
+
+    A - s I shifts both diagonal blocks of S H by -s, so every eigenvalue
+    of S H moves by exactly -s.
+    """
+    lam_min = np.linalg.eigvalsh(materialize_sh(ham))[0]
+    shift = lam_min - lam_min_target
+    return BseHamiltonian(ham.a - shift * np.eye(ham.m), ham.b)
+
+
+class TestRealSymmetricForm:
+    @pytest.mark.parametrize("m", [1, 2, 7, 32])
+    @pytest.mark.parametrize(
+        "coupling, mode", [(0.5, "definite"), (10.0, "indefinite")]
+    )
+    def test_spectrum_matches_sh(self, m, coupling, mode):
+        spec = GeneratorSpec(m=m, seed=60 + m, coupling_ratio=coupling, mode=mode)
+        ham = generate(spec)
+        r = real_symmetric_form(ham)
+        assert r.dtype == np.float64 and r.flags.f_contiguous
+        np.testing.assert_array_equal(r, r.T)
+        expected = np.linalg.eigvalsh(materialize_sh(ham))
+        assert (expected[0] > 0) == (mode == "definite")
+        rho = np.abs(expected).max()
+        assert np.abs(np.linalg.eigvalsh(r) - expected).max() <= 1e-13 * rho
+
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [
+            (GeneratorSpec(m=16, seed=1), Definiteness.DEFINITE),
+            (GeneratorSpec(m=16, seed=2, coupling_ratio=0.0), Definiteness.DEFINITE),
+            (GeneratorSpec(m=16, seed=3, coupling_ratio=0.99), Definiteness.DEFINITE),
+            (
+                GeneratorSpec(m=16, seed=4, coupling_ratio=1.5, mode="indefinite"),
+                Definiteness.DEFINITE,
+            ),
+            (
+                GeneratorSpec(m=16, seed=5, coupling_ratio=10.0, mode="indefinite"),
+                Definiteness.INDEFINITE,
+            ),
+            (
+                GeneratorSpec(m=12, seed=0, coupling_ratio=5.0, mode="indefinite"),
+                Definiteness.INDEFINITE,
+            ),
+            (
+                GeneratorSpec(m=3, seed=6, coupling_ratio=2.0, mode="indefinite"),
+                Definiteness.INDEFINITE,
+            ),
+        ],
+    )
+    def test_class_matches_complex_cholesky(self, spec, expected):
+        ham = generate(spec)
+        assert _complex_cholesky_class(ham) is expected
+        assert is_definite(BseHamiltonian(ham.a, ham.b)) is expected
+
+    @pytest.mark.parametrize("m", [2, 16, 48])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_class_matches_at_the_boundary(self, m, sign):
+        base = generate(GeneratorSpec(m=m, seed=80 + m))
+        rho = np.abs(np.linalg.eigvalsh(materialize_sh(base))).max()
+        ham = _shifted(base, sign * 1e-6 * rho)
+        lam_min = np.linalg.eigvalsh(materialize_sh(ham))[0]
+        assert np.sign(lam_min) == sign
+        expected = Definiteness.DEFINITE if sign > 0 else Definiteness.INDEFINITE
+        assert _complex_cholesky_class(ham) is expected
+        assert is_definite(ham) is expected
 
 
 class TestConstruction:

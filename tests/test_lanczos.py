@@ -26,6 +26,13 @@ class TestEstimateBounds:
             np.sort(bounds.ritz_values), [-LAM2, LAM2], atol=1e-10
         )
 
+    def test_2x2_default_steps_stop_at_the_dimension(self, ham2):
+        # n = 2 holds only two Lanczos vectors; the default 24 steps must
+        # not demand four
+        bounds = estimate_bounds(ham2, nevex=0, seed=1)
+        assert bounds.steps == 2
+        assert bounds.mu_1 == pytest.approx(-1.01 * LAM2, rel=1e-10)
+
     def test_tda_diagonal_brackets_spectrum(self):
         a = np.diag(np.arange(1.0, 9.0))
         ham = BseHamiltonian(a, np.zeros((8, 8)))

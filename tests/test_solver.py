@@ -1,8 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bsesolve import (
     BseHamiltonian,
+    Definiteness,
     GeneratorSpec,
     IndefiniteError,
     SolverConfig,
@@ -32,6 +36,17 @@ class TestSolve:
         res = solve(ham, SolverConfig(nev=1, nex=1, lanczos_steps=2, seed=3))
         assert res.converged
         assert res.lambdas[0] == pytest.approx(-LAM2, abs=1e-10)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_m1_without_extra_vectors(self, seed):
+        ham = generate(GeneratorSpec(m=1, seed=seed))
+        cfg = SolverConfig(nev=1, nex=0, seed=seed)
+        res = solve(ham, cfg)
+        assert res.converged
+        resid = np.linalg.norm(apply_h(ham, res.v) - res.v * res.lambdas)
+        assert resid <= cfg.tol
+        lam = direct_solve_definite(ham).lambdas[0]
+        assert res.lambdas[0] == pytest.approx(lam, abs=cfg.tol * rho_sh(ham))
 
     def test_tda_diagonal_returns_most_negative_values(self):
         a = np.diag(np.arange(1.0, 9.0))
@@ -146,6 +161,88 @@ class TestSolve:
         assert sum(row.flops for row in res.trace) == pytest.approx(
             res.ledger.total_flops() - res.ledger.flops["lanczos"]
         )
+
+
+class TestIndependentResidualGate:
+    """Residuals recomputed from the returned pairs, not read from the result."""
+
+    @pytest.mark.parametrize("m, nev", [(16, 4), (64, 8), (256, 16)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_returned_pairs_meet_tol_and_match_oracle(self, m, nev, seed):
+        ham = generate(GeneratorSpec(m=m, seed=seed))
+        eig = direct_solve_definite(ham)
+        scale = rho_sh(ham)
+        for variant in ("hermitian", "backup"):
+            cfg = SolverConfig(nev=nev, seed=seed, rr_variant=variant)
+            res = solve(BseHamiltonian(ham.a, ham.b), cfg)
+            assert res.converged
+            np.testing.assert_allclose(np.linalg.norm(res.v, axis=0), 1.0, rtol=1e-12)
+            resid = np.linalg.norm(apply_h(ham, res.v) - res.v * res.lambdas, axis=0)
+            assert resid.max() <= cfg.tol
+            assert np.abs(res.lambdas - eig.lambdas[:nev]).max() <= cfg.tol * scale
+
+
+def _forbid_scipy_linalg(monkeypatch) -> list[str]:
+    """Make every public scipy.linalg callable raise; returns the call log.
+
+    Covers scipy.linalg, its blas and lapack wrappers, and any name a
+    bsesolve module imported from them directly.
+    """
+    calls: list[str] = []
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"solve() called {name}")
+
+        return call
+
+    def is_forbidden(obj) -> bool:
+        if isinstance(obj, type) and issubclass(obj, BaseException):
+            return False  # LinAlgError and LinAlgWarning are not calls
+        return callable(obj)
+
+    for module in (scipy.linalg, scipy.linalg.blas, scipy.linalg.lapack):
+        for name in dir(module):
+            if not name.startswith("_") and is_forbidden(getattr(module, name)):
+                monkeypatch.setattr(module, name, forbidden(f"{module.__name__}.{name}"))
+    for modname, module in list(sys.modules.items()):
+        if not modname.startswith("bsesolve"):
+            continue
+        for name, obj in list(vars(module).items()):
+            origin = getattr(obj, "__module__", None) or ""
+            if origin.startswith("scipy.linalg") and is_forbidden(obj):
+                monkeypatch.setattr(module, name, forbidden(f"{modname}.{name}"))
+    return calls
+
+
+class TestSolvePathUsesNumpyOnly:
+    """numpy and scipy each bundle an OpenBLAS with its own thread pool; a
+    solve that crosses between them pays for both pools spinning."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"rr_variant": "backup"}, {"plain_kernel_only": True}],
+        ids=["auto", "backup", "plain_kernel_only"],
+    )
+    def test_no_scipy_linalg_call(self, monkeypatch, overrides):
+        generated = generate(GeneratorSpec(m=32, seed=30))
+        ham = BseHamiltonian(generated.a, generated.b)  # definiteness not cached
+        calls = _forbid_scipy_linalg(monkeypatch)
+        res = solve(ham, SolverConfig(nev=4, seed=30, **overrides))
+        monkeypatch.undo()
+        assert calls == []
+        assert res.converged
+        assert ham.definiteness is Definiteness.DEFINITE
+        if overrides.get("rr_variant") == "backup":
+            assert all(row.variant == "backup" for row in res.trace)
+
+    def test_guard_catches_a_scipy_call(self, monkeypatch):
+        calls = _forbid_scipy_linalg(monkeypatch)
+        with pytest.raises(AssertionError):
+            scipy.linalg.cholesky(np.eye(2))
+        monkeypatch.undo()
+        assert calls == ["scipy.linalg.cholesky"]
 
 
 class TestHermitianParity:
