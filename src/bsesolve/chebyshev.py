@@ -6,7 +6,10 @@ C_d((t - c)/e) / C_d((s - c)/e), so the gain at the anchor s = mu_1 is 1
 and everything inside the damped interval [mu_nevex, mu_n] is flattened
 toward zero.  The degree must be even: the adjoint-trick product kernel
 is used on odd steps and the plain kernel on even steps, so an even
-degree pairs the two kernels up exactly.
+degree pairs the two kernels up exactly.  Both names are now the one
+real-form product (`apply_h_via_adjoint` is `apply_h`), so the
+alternation, `plain_kernel_only` and the even-degree rule choose between
+identical computations; they are kept only until they are removed.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ endian and column major.  docs/FORMATS.md holds the byte-level contract.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import struct
 from datetime import datetime, timezone
@@ -25,6 +26,9 @@ _MM_HEADER = "%%MatrixMarket matrix array complex general"
 _PCHB_MAGIC = b"PCHB"
 _PCHV_MAGIC = b"PCHV"
 _FORMAT_VERSION = 1
+#: Matrix Market entry lines parsed per np.loadtxt call; bounds the memory
+#: the line strings take while a block is read.
+_MM_CHUNK = 1024
 
 
 def digest64(path: str | Path) -> str:
@@ -47,10 +51,27 @@ def write_matrix_market(path: str | Path, matrix, comment: str | None = None) ->
             for line in comment.splitlines():
                 fh.write(f"%{line}\n")
         fh.write(f"{a.shape[0]} {a.shape[1]}\n")
+        # one column per write: interleaved (re, im) pairs, one line each
+        entry = "%.17e %.17e\n" * a.shape[0]
         for j in range(a.shape[1]):
-            for i in range(a.shape[0]):
-                z = a[i, j]
-                fh.write(f"{z.real:.17e} {z.imag:.17e}\n")
+            fh.write(entry % tuple(a[:, j].view(np.float64).tolist()))
+
+
+def _parse_entries(fh, count: int) -> np.ndarray:
+    """The next count entry lines of fh as a (count, 2) float64 array."""
+    lines = list(itertools.islice(fh, count))
+    if len(lines) < count:
+        raise ValidationError(f"truncated: {len(lines)} of the next {count} entry lines")
+    try:
+        pairs = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError as exc:
+        raise ValidationError(f"malformed entry: {exc}") from exc
+    if pairs.shape != (count, 2):
+        # a blank line yields no row; a uniform token count other than 2 parses
+        raise ValidationError(
+            f"expected {count} entries of 2 tokens, got shape {pairs.shape}"
+        )
+    return pairs
 
 
 def read_matrix_market(path: str | Path) -> np.ndarray:
@@ -69,12 +90,14 @@ def read_matrix_market(path: str | Path) -> np.ndarray:
             rows, cols = (int(t) for t in line.split())
         except ValueError as exc:
             raise ValidationError(f"malformed size line: {line!r}") from exc
-        data = np.empty(rows * cols, dtype=np.complex128)
-        for idx in range(rows * cols):
-            parts = fh.readline().split()
-            if len(parts) != 2:
-                raise ValidationError(f"malformed entry at index {idx}")
-            data[idx] = float(parts[0]) + 1j * float(parts[1])
+        if rows < 0 or cols < 0:
+            raise ValidationError(f"malformed size line: {line!r}")
+        count = rows * cols
+        pairs = np.empty((count, 2), dtype=np.float64)
+        for start in range(0, count, _MM_CHUNK):
+            stop = min(start + _MM_CHUNK, count)
+            pairs[start:stop] = _parse_entries(fh, stop - start)
+    data = pairs.view(np.complex128).reshape(count)
     return np.asfortranarray(data.reshape((rows, cols), order="F"))
 
 

@@ -69,8 +69,8 @@ def generate(spec: GeneratorSpec) -> BseHamiltonian:
     else:
         d = rng.complex_normal_matrix(rng.substream(spec.seed, TAG_COUPLING), m, m)
         b0 = (d + d.T) / 2.0
-        b_norm = sla.svdvals(b0)[0]
-        lam_min = float(sla.eigvalsh(a)[0])
+        b_norm = np.linalg.svd(b0, compute_uv=False)[0]
+        lam_min = float(np.linalg.eigvalsh(a)[0])
         b = (spec.coupling_ratio * lam_min / b_norm) * b0
 
     ham = BseHamiltonian(a, b)

@@ -1,10 +1,18 @@
 """Block storage for BSE-type Hamiltonians and the implicit S/K/J operators.
 
 A Hamiltonian H = [[A, B], [-conj(B), -conj(A)]] with A hermitian and B
-symmetric is stored as its two m x m blocks only (half the memory of the
-dense 2m x 2m matrix).  It satisfies S H = H* S for the signature operator
+symmetric is stored as its two m x m blocks (half the memory of the dense
+2m x 2m matrix), plus, once an H-product has run, the real symmetric
+n x n form R = Q* (S H) Q with Q = [[I, iI], [I, -iI]] / sqrt(2) (the same
+memory again).  It satisfies S H = H* S for the signature operator
 S = diag(I, -I), which is never formed: S, K = [[0, I], [I, 0]] and
 J = [[0, I], [-I, 0]] act by sign flips and half swaps.
+
+Products run on R: H x = S Q R Q* x, where Q and Q* are sums and sign
+flips on the halves of x and R Q* x is one real GEMM, 4*n^2*k real FLOPs
+for k columns (the four complex m x m block products it replaces cost
+8*n^2*k).  R = R^T holds exactly because construction makes A exactly
+hermitian and B exactly symmetric; the product kernel relies on it.
 """
 
 from __future__ import annotations
@@ -65,12 +73,15 @@ class BseHamiltonian:
 
     A must be hermitian and B symmetric; defects up to SYMMETRY_RTOL times
     the block scale are repaired on construction.  The full matrix is only
-    materialized on explicit request.
+    materialized on explicit request.  The real symmetric form R that the
+    H-products run on is built on first use and kept (read-only) until the
+    Hamiltonian is dropped.
     """
 
     a: np.ndarray
     b: np.ndarray
     definiteness: Definiteness = field(default=Definiteness.UNKNOWN)
+    _r: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a = as_complex_matrix(self.a, "A")
@@ -128,51 +139,58 @@ def apply_j(x) -> np.ndarray:
     return np.concatenate([x[m:], -x[:m]], axis=0)
 
 
+def _apply_sh(ham: BseHamiltonian, x: np.ndarray) -> np.ndarray:
+    """(S H) x = Q R Q* x with one real GEMM against the cached R.
+
+    Q* x is written as the n x 2k float64 block V = [Re(Q* x) | Im(Q* x)]
+    by sums and sign flips, R V is formed as (V^T R)^T, the faster GEMM
+    orientation on OpenBLAS, which is R V because R = R^T exactly; and Q
+    is applied to the two halves of the result.  The two 1/sqrt(2) factors of Q and Q* meet as one exact
+    scaling by 1/2.  x is a 2-D complex128 array with n rows.
+    """
+    m, k = ham.m, x.shape[1]
+    x1r, x1i = x[:m].real, x[:m].imag
+    x2r, x2i = x[m:].real, x[m:].imag
+    # V = 2 Q* x: upper half x1 + x2, lower half i (x2 - x1)
+    v = np.empty((ham.n, 2 * k), dtype=np.float64, order="F")
+    np.add(x1r, x2r, out=v[:m, :k])
+    np.add(x1i, x2i, out=v[:m, k:])
+    np.subtract(x1i, x2i, out=v[m:, :k])
+    np.subtract(x2r, x1r, out=v[m:, k:])
+    v *= 0.5
+    z = (v.T @ cached_real_form(ham)).T
+    # with w = R Q* x = z_re + i z_im, (S H) x = Q w = [w1 + i w2; w1 - i w2]
+    z1r, z1i = z[:m, :k], z[:m, k:]
+    z2r, z2i = z[m:, :k], z[m:, k:]
+    out = np.empty((ham.n, k), dtype=np.complex128, order="F")
+    np.subtract(z1r, z2i, out=out[:m].real)
+    np.add(z1i, z2r, out=out[:m].imag)
+    np.add(z1r, z2i, out=out[m:].real)
+    np.subtract(z1i, z2r, out=out[m:].imag)
+    return out
+
+
 def apply_h(
     ham: BseHamiltonian,
     x,
     ledger: PhaseLedger | None = None,
     phase: str = "filter",
 ) -> np.ndarray:
-    """H x through the blocks: [A x1 + B x2; -conj(A conj(x2) + B conj(x1))].
-
-    Never forms conj(A) or conj(B); costs 8*n^2*k real FLOPs for k columns.
-    """
+    """H x = S Q R Q* x: one real n x n GEMM, 4*n^2*k real FLOPs for k columns."""
     x = np.asarray(x, dtype=np.complex128)
     _check_rows(x, ham.n)
-    m = ham.m
-    x1, x2 = x[:m], x[m:]
-    up = ham.a @ x1 + ham.b @ x2
-    low = -np.conj(ham.a @ np.conj(x2) + ham.b @ np.conj(x1))
+    cols = x if x.ndim == 2 else x[:, None]
+    out = _apply_sh(ham, cols)
+    out[ham.m:] *= -1.0  # H = S (S H)
     if ledger is not None:
-        k = 1 if x.ndim == 1 else x.shape[1]
-        ledger.add_flops(phase, 8.0 * ham.n * ham.n * k)
-    return np.concatenate([up, low], axis=0)
+        ledger.add_flops(phase, 4.0 * ham.n * ham.n * cols.shape[1])
+    return out.reshape(x.shape)
 
 
-def apply_h_via_adjoint(
-    ham: BseHamiltonian,
-    x,
-    ledger: PhaseLedger | None = None,
-    phase: str = "filter",
-) -> np.ndarray:
-    """H x computed as S (H* (S x)), the communication-avoiding kernel form.
-
-    Agrees with apply_h to roundoff; exercised on alternate filter steps so
-    both product kernels stay covered.
-    """
-    x = np.asarray(x, dtype=np.complex128)
-    _check_rows(x, ham.n)
-    m = ham.m
-    y1, y2 = x[:m], -x[m:]  # first sign flip: y = S x
-    up = ham.a @ y1 - ham.b @ y2
-    low = np.conj(ham.b @ np.conj(y1) - ham.a @ np.conj(y2))
-    if ledger is not None:
-        k = 1 if x.ndim == 1 else x.shape[1]
-        ledger.add_flops(phase, 8.0 * ham.n * ham.n * k)
-    # second flip recovers W from S W; the third flip of the distributed
-    # formulation (restoring the input) is not needed since x is untouched
-    return np.concatenate([up, -low], axis=0)
+#: The communication-avoiding form S (H* (S x)) with H* y = (S H)(S y) runs
+#: on the same real-form primitive and gives the same bits (S S x is x
+#: exactly), so it is apply_h under its old name.
+apply_h_via_adjoint = apply_h
 
 
 def materialize(ham: BseHamiltonian) -> np.ndarray:
@@ -224,12 +242,27 @@ def real_symmetric_form(ham: BseHamiltonian) -> np.ndarray:
     return r
 
 
+def cached_real_form(ham: BseHamiltonian) -> np.ndarray:
+    """R of ham, built on the first call and kept read-only on ham."""
+    if ham._r is None:
+        r = real_symmetric_form(ham)
+        r.flags.writeable = False
+        ham._r = r
+    return ham._r
+
+
 def is_definite(ham: BseHamiltonian) -> Definiteness:
-    """Classify S H by a Cholesky factorization of its real form (cached)."""
+    """Classify S H by a Cholesky factorization of its real form (cached).
+
+    Factors the R kept on ham if an H-product has built it, else a
+    temporary R that is not kept: a Hamiltonian that was only classified
+    (as `generate` returns it) holds its blocks alone.
+    """
     if ham.definiteness is not Definiteness.UNKNOWN:
         return ham.definiteness
+    r = ham._r if ham._r is not None else real_symmetric_form(ham)
     try:
-        np.linalg.cholesky(real_symmetric_form(ham))
+        np.linalg.cholesky(r)
     except np.linalg.LinAlgError:
         ham.definiteness = Definiteness.INDEFINITE
     else:

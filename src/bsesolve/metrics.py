@@ -5,14 +5,16 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 
-PHASES = ("lanczos", "filter", "ortho", "rr", "residuals")
+PHASES = ("definite", "lanczos", "filter", "ortho", "rr", "residuals")
 
 
 class PhaseLedger:
     """Accumulates modeled real FLOPs and wall seconds per solver phase.
 
     The model charges 8 real FLOPs per complex multiply-add, so a complex
-    GEMM of shape (p x q) * (q x r) costs 8*p*q*r.
+    GEMM of shape (p x q) * (q x r) costs 8*p*q*r, and 2 per real one: an
+    H-product on k columns is one real n x n times n x 2k GEMM, 4*n^2*k,
+    and the definiteness Cholesky of the real n x n form costs n^3/3.
     """
 
     def __init__(self) -> None:

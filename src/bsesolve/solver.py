@@ -30,6 +30,7 @@ from .hamiltonian import (
     Definiteness,
     apply_k,
     apply_s,
+    cached_real_form,
     is_definite,
 )
 from .lanczos import SpectralBounds, estimate_bounds, update_cutoff
@@ -132,11 +133,19 @@ class SolveResult:
 def solve(ham: BseHamiltonian, cfg: SolverConfig) -> SolveResult:
     """Compute the cfg.nev smallest eigenpairs of a definite Hamiltonian."""
     cfg.validate(ham.n)
-    if is_definite(ham) is not Definiteness.DEFINITE:
-        raise IndefiniteError("solver requires S*H positive definite")
-
     n, nevex, tol = ham.n, cfg.nevex, cfg.tol
     ledger = PhaseLedger()
+    with ledger.timing("definite"):
+        # R is built once here: the certificate factors it and every
+        # H-product of the solve runs on it; a rejected Hamiltonian keeps none
+        factored = ham.definiteness is Definiteness.UNKNOWN
+        if ham.definiteness is not Definiteness.INDEFINITE:
+            cached_real_form(ham)
+        if is_definite(ham) is not Definiteness.DEFINITE:
+            ham._r = None
+            raise IndefiniteError("solver requires S*H positive definite")
+        if factored:
+            ledger.add_flops("definite", n**3 / 3.0)
     with ledger.timing("lanczos"):
         bounds = estimate_bounds(
             ham, nevex, cfg.lanczos_steps, rng.substream(cfg.seed, TAG_LANCZOS), ledger

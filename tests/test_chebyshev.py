@@ -130,4 +130,4 @@ class TestFilterBehavior:
         cfg = _config_for(ham_mid, nevex=6, degree=10)
         chebyshev_filter(ham_mid, np.ones((ham_mid.n, 3), dtype=complex), cfg, ledger)
         n = ham_mid.n
-        assert ledger.flops["filter"] == pytest.approx(10 * 8.0 * n * n * 3)
+        assert ledger.flops["filter"] == pytest.approx(10 * 4.0 * n * n * 3)

@@ -36,6 +36,71 @@ class TestMatrixMarket:
         with pytest.raises(ValidationError):
             fileio.read_matrix_market(p)
 
+    def test_writer_bytes_equal_per_entry_formatting(self, tmp_path):
+        values = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                  1.0 / 3.0, -2.5e-310, 0.0, 1e22]
+        z = np.array(values[:4]) + 1j * np.array(values[4:])
+        a = np.stack([z, z[::-1], -z]).T  # 4 x 3, mixed signs
+        p = tmp_path / "edge.mtx"
+        fileio.write_matrix_market(p, a, comment="edge")
+        body = "".join(
+            f"{a[i, j].real:.17e} {a[i, j].imag:.17e}\n"
+            for j in range(a.shape[1])
+            for i in range(a.shape[0])
+        )
+        expected = "%%MatrixMarket matrix array complex general\n%edge\n4 3\n" + body
+        assert p.read_bytes() == expected.encode()
+        back = fileio.read_matrix_market(p)
+        assert back.tobytes() == np.asfortranarray(a).tobytes()
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "2 1\n1.0 2.0\n1.0 2.0 3.0\n",  # three tokens on one line
+            "2 1\n1.0 2.0 3.0\n1.0 2.0 3.0\n",  # three tokens on every line
+            "2 1\n1.0\n1.0\n",  # one token on every line
+            "2 1\n1.0 2.0\n\n1.0 2.0\n",  # a blank line in the entries
+        ],
+        ids=["three_tokens", "three_tokens_everywhere", "one_token", "blank_line"],
+    )
+    def test_entry_lines_of_other_than_two_tokens_rejected(self, tmp_path, body):
+        p = tmp_path / "tokens.mtx"
+        p.write_text("%%MatrixMarket matrix array complex general\n" + body)
+        with pytest.raises(ValidationError):
+            fileio.read_matrix_market(p)
+
+    def test_round_trip_across_parse_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fileio, "_MM_CHUNK", 4)
+        a = _ham(6, m=5).a  # 25 entries: six full chunks and one short one
+        p = tmp_path / "chunks.mtx"
+        fileio.write_matrix_market(p, a)
+        np.testing.assert_array_equal(fileio.read_matrix_market(p), a)
+        lines = p.read_text().splitlines(keepends=True)
+        (tmp_path / "short.mtx").write_text("".join(lines[:-1]))
+        with pytest.raises(ValidationError):
+            fileio.read_matrix_market(tmp_path / "short.mtx")
+
+    def test_non_numeric_token_rejected(self, tmp_path):
+        p = tmp_path / "nan.mtx"
+        p.write_text("%%MatrixMarket matrix array complex general\n2 1\n1.0 abc\n1.0 2.0\n")
+        with pytest.raises(ValidationError):
+            fileio.read_matrix_market(p)
+
+    @pytest.mark.parametrize("entries", [0, 3])
+    def test_truncated_file_rejected(self, tmp_path, entries):
+        p = tmp_path / "short.mtx"
+        p.write_text(
+            "%%MatrixMarket matrix array complex general\n2 2\n" + "1.0 2.0\n" * entries
+        )
+        with pytest.raises(ValidationError):
+            fileio.read_matrix_market(p)
+
+    def test_negative_size_rejected(self, tmp_path):
+        p = tmp_path / "neg.mtx"
+        p.write_text("%%MatrixMarket matrix array complex general\n-1 2\n")
+        with pytest.raises(ValidationError):
+            fileio.read_matrix_market(p)
+
 
 class TestPchb:
     def test_round_trip_bit_identical(self, tmp_path):

@@ -21,7 +21,8 @@ from bsesolve import (
     materialize_sh,
     validate_pseudo_hermitian,
 )
-from bsesolve.hamiltonian import real_symmetric_form
+from bsesolve import hamiltonian
+from bsesolve.hamiltonian import cached_real_form, real_symmetric_form
 from bsesolve.metrics import PhaseLedger
 
 from conftest import LAM2
@@ -90,6 +91,33 @@ class TestApplyH:
             apply_h(ham_small, x), materialize(ham_small) @ x, atol=1e-12
         )
 
+    @pytest.mark.parametrize("m", [1, 2, 7, 32, 200])
+    @pytest.mark.parametrize(
+        "layout", ["1d", "k1", "k3", "k64", "c_order", "column_slice", "real"]
+    )
+    def test_matches_dense_over_sizes_and_layouts(self, m, layout):
+        ham = generate(GeneratorSpec(m=m, seed=90 + m))
+        n = ham.n
+        x = {
+            "1d": lambda: _rand(n, 1, m)[:, 0],
+            "k1": lambda: _rand(n, 1, m),
+            "k3": lambda: np.asfortranarray(_rand(n, 3, m)),
+            "k64": lambda: np.asfortranarray(_rand(n, 64, m)),
+            "c_order": lambda: np.ascontiguousarray(_rand(n, 5, m)),
+            "column_slice": lambda: np.asfortranarray(_rand(n, 9, m))[:, 1::3],
+            "real": lambda: np.random.default_rng(m).standard_normal((n, 4)),
+        }[layout]()
+        expected = materialize(ham) @ x
+        out = apply_h(ham, x)
+        assert out.shape == x.shape and out.dtype == np.complex128
+        assert np.abs(out - expected).max() <= 4e-15 * np.abs(expected).max()
+
+    def test_input_is_not_modified(self, ham_small):
+        x = _rand(16, 3, 9)
+        kept = x.copy()
+        apply_h(ham_small, x)
+        np.testing.assert_array_equal(x, kept)
+
     def test_dimension_mismatch(self, ham_small):
         with pytest.raises(ValidationError):
             apply_h(ham_small, np.ones(8))
@@ -97,7 +125,8 @@ class TestApplyH:
     def test_flop_model(self, ham_small):
         ledger = PhaseLedger()
         apply_h(ham_small, _rand(16, 3, 7), ledger, "filter")
-        assert ledger.flops["filter"] == 8.0 * 16 * 16 * 3
+        # one real n x n times n x 2k GEMM
+        assert ledger.flops["filter"] == 4.0 * 16 * 16 * 3
 
 
 class TestAdjointKernel:
@@ -110,6 +139,11 @@ class TestAdjointKernel:
             b = apply_h_via_adjoint(ham, x)
             scale = np.abs(a).max() + 1.0
             assert np.abs(a - b).max() <= 1e-13 * scale
+
+    def test_is_the_plain_kernel(self):
+        # S (H* (S x)) on the real-form primitive is bitwise H x, so the
+        # adjoint form is apply_h itself, not a second copy of the work
+        assert apply_h_via_adjoint is apply_h
 
     def test_first_column_2x2(self, ham2):
         np.testing.assert_allclose(
@@ -253,6 +287,47 @@ class TestRealSymmetricForm:
         expected = Definiteness.DEFINITE if sign > 0 else Definiteness.INDEFINITE
         assert _complex_cholesky_class(ham) is expected
         assert is_definite(ham) is expected
+
+
+class TestCachedRealForm:
+    """R lives on a Hamiltonian from its first H-product until it is dropped."""
+
+    def test_built_by_the_first_product_and_read_only(self, ham_small):
+        assert ham_small._r is None
+        apply_h(ham_small, _rand(16, 2, 10))
+        r = ham_small._r
+        np.testing.assert_array_equal(r, real_symmetric_form(ham_small))
+        assert not r.flags.writeable
+        with pytest.raises(ValueError):
+            r[0, 0] = 1.0
+        apply_h(ham_small, _rand(16, 2, 11))
+        assert cached_real_form(ham_small) is r
+
+    def test_generate_returns_no_real_form(self):
+        ham = generate(GeneratorSpec(m=24, seed=3))
+        assert ham.definiteness is Definiteness.DEFINITE
+        assert ham._r is None
+
+    def test_is_definite_keeps_no_real_form(self, ham_small):
+        fresh = BseHamiltonian(ham_small.a, ham_small.b)
+        assert is_definite(fresh) is Definiteness.DEFINITE
+        assert fresh._r is None
+
+    def test_is_definite_factors_the_cached_form(self, ham_small, monkeypatch):
+        fresh = BseHamiltonian(ham_small.a, ham_small.b)
+        cached_real_form(fresh)
+        built = []
+        monkeypatch.setattr(
+            hamiltonian, "real_symmetric_form", lambda ham: built.append(ham)
+        )
+        assert is_definite(fresh) is Definiteness.DEFINITE
+        assert built == []
+
+    def test_not_in_repr_or_init(self, ham2):
+        apply_h(ham2, np.array([1.0, 0.0]))
+        assert "_r" not in repr(ham2)
+        with pytest.raises(TypeError):
+            BseHamiltonian(ham2.a, ham2.b, _r=np.eye(2))
 
 
 class TestConstruction:

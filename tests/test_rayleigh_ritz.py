@@ -18,6 +18,7 @@ from bsesolve import (
     residuals,
     rho_sh,
 )
+from bsesolve.metrics import PhaseLedger
 from bsesolve.rayleigh_ritz import RitzSet
 
 from conftest import LAM2
@@ -101,6 +102,13 @@ class TestHermitianVariant:
         assert w_eigs.min() >= sh_eigs[0] - 1e-10 * scale
         assert w_eigs.max() <= sh_eigs[-1] + 1e-10 * scale
 
+    def test_flop_model_charges_the_h_product_once(self, ham_mid):
+        ledger = PhaseLedger()
+        q = _rand_q(ham_mid.n, 3, 12)
+        build_hermitian_rq(ham_mid, q, ledger)
+        n, k = ham_mid.n, 3
+        assert ledger.flops["rr"] == 4.0 * n * n * k + 12.0 * n * k * k + 16.0 * k**3
+
 
 class TestBackupVariant:
     def test_hand_case_k1(self, ham2):
@@ -138,6 +146,13 @@ class TestBackupVariant:
         r_h, _ = build_hermitian_rq(ham_mid, q)
         r_b, _ = build_backup_rq(ham_mid, q)
         np.testing.assert_allclose(r_h.values, r_b.values, atol=1e-9 * scale)
+
+    def test_flop_model_charges_the_h_product_once(self, ham_mid):
+        ledger = PhaseLedger()
+        q = _rand_q(ham_mid.n, 3, 13)
+        build_backup_rq(ham_mid, q, ledger)
+        n, k = ham_mid.n, 3
+        assert ledger.flops["rr"] == 4.0 * n * n * k + 20.0 * n * k * k + 30.0 * k**3
 
 
 class TestResiduals:

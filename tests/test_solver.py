@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from bsesolve import hamiltonian
 from bsesolve import (
     BseHamiltonian,
     Definiteness,
@@ -163,6 +164,60 @@ class TestSolve:
         )
 
 
+class TestDefinitePhase:
+    def test_certificate_is_timed_and_charged_when_it_factors(self):
+        ham = generate(GeneratorSpec(m=32, seed=17))
+        res = solve(BseHamiltonian(ham.a, ham.b), SolverConfig(nev=4, seed=17))
+        assert res.ledger.seconds["definite"] > 0
+        assert res.ledger.flops["definite"] == ham.n**3 / 3.0
+
+    def test_cached_class_is_not_charged(self):
+        ham = generate(GeneratorSpec(m=32, seed=17))
+        assert ham.definiteness is Definiteness.DEFINITE
+        res = solve(ham, SolverConfig(nev=4, seed=17))
+        assert res.ledger.seconds["definite"] > 0
+        assert "definite" not in res.ledger.flops
+
+    def test_one_solve_builds_the_real_form_once(self, monkeypatch):
+        real_form = hamiltonian.real_symmetric_form
+        built = []
+
+        def counted(ham):
+            built.append(ham)
+            return real_form(ham)
+
+        monkeypatch.setattr(hamiltonian, "real_symmetric_form", counted)
+        ham = generate(GeneratorSpec(m=32, seed=18))
+        assert len(built) == 1  # generate's certificate, not kept
+        fresh = BseHamiltonian(ham.a, ham.b)
+        res = solve(fresh, SolverConfig(nev=4, seed=18))
+        assert res.converged
+        assert built[1:] == [fresh]
+
+    def test_rejected_hamiltonian_keeps_no_real_form(self, monkeypatch):
+        real_form = hamiltonian.real_symmetric_form
+        built = []
+
+        def counted(ham):
+            built.append(ham)
+            return real_form(ham)
+
+        monkeypatch.setattr(hamiltonian, "real_symmetric_form", counted)
+        ham = generate(GeneratorSpec(m=16, seed=5, coupling_ratio=10.0, mode="indefinite"))
+        fresh = BseHamiltonian(ham.a, ham.b)
+        built.clear()
+        cfg = SolverConfig(nev=2, seed=5)
+        # unclassified: R is built for the certificate, then dropped
+        with pytest.raises(IndefiniteError):
+            solve(fresh, cfg)
+        assert fresh.definiteness is Definiteness.INDEFINITE
+        assert fresh._r is None and built == [fresh]
+        # classified INDEFINITE: rejected without building R
+        with pytest.raises(IndefiniteError):
+            solve(fresh, cfg)
+        assert fresh._r is None and built == [fresh]
+
+
 class TestIndependentResidualGate:
     """Residuals recomputed from the returned pairs, not read from the result."""
 
@@ -172,12 +227,14 @@ class TestIndependentResidualGate:
         ham = generate(GeneratorSpec(m=m, seed=seed))
         eig = direct_solve_definite(ham)
         scale = rho_sh(ham)
+        dense = materialize(ham)
         for variant in ("hermitian", "backup"):
             cfg = SolverConfig(nev=nev, seed=seed, rr_variant=variant)
             res = solve(BseHamiltonian(ham.a, ham.b), cfg)
             assert res.converged
             np.testing.assert_allclose(np.linalg.norm(res.v, axis=0), 1.0, rtol=1e-12)
-            resid = np.linalg.norm(apply_h(ham, res.v) - res.v * res.lambdas, axis=0)
+            # dense H: independent of the product kernel the solve ran on
+            resid = np.linalg.norm(dense @ res.v - res.v * res.lambdas, axis=0)
             assert resid.max() <= cfg.tol
             assert np.abs(res.lambdas - eig.lambdas[:nev]).max() <= cfg.tol * scale
 
