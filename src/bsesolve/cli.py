@@ -148,9 +148,6 @@ def _solver_options(fn):
 
 
 def _make_config(nev, nex, deg, tol, maxiter, rr, seed, lanczos_steps, rel_res, reproducible):
-    if deg % 2:
-        click.echo(f"warning: filter degree must be even, rounding {deg} up to {deg + 1}", err=True)
-        deg += 1
     return SolverConfig(
         nev=nev, nex=nex, deg=deg, tol=tol, maxiter=maxiter, rr_variant=rr,
         seed=seed, lanczos_steps=lanczos_steps, rel_res=rel_res,

@@ -181,12 +181,16 @@ def write_trace_csv(path: str | Path, result: SolveResult, input_digest: str) ->
             f"# mu_n: {result.bounds.mu_n:.17g}\n"
             f"# converged: {str(result.converged).lower()}\n"
         )
-        fh.write("iter,locked,k,max_res,min_res_unlocked,mu_nevex,variant,lambda_min_M,flops\n")
+        fh.write(
+            "iter,locked,k,max_res,min_res_unlocked,mu_nevex,variant,lambda_min_M,flops,"
+            "precision,filter_s,ortho_s,rr_s,residuals_s\n"
+        )
         for row in result.trace:
             fh.write(
                 f"{row.it},{row.locked},{row.k},{row.max_res:.17g},"
                 f"{row.min_res_unlocked:.17g},{row.mu_nevex:.17g},{row.variant},"
-                f"{row.lambda_min_m:.17g},{row.flops:.0f}\n"
+                f"{row.lambda_min_m:.17g},{row.flops:.0f},{row.precision},"
+                f"{row.filter_s:.6f},{row.ortho_s:.6f},{row.rr_s:.6f},{row.residuals_s:.6f}\n"
             )
 
 

@@ -13,6 +13,10 @@ flips on the halves of x and R Q* x is one real GEMM, 4*n^2*k real FLOPs
 for k columns (the four complex m x m block products it replaces cost
 8*n^2*k).  R = R^T holds exactly because construction makes A exactly
 hermitian and B exactly symmetric; the product kernel relies on it.
+Since Q* S Q = i J, Q* H Q = i J R: the Chebyshev filter stays in the real
+block coordinates of `to_real_block` for a whole polynomial and converts
+back only at its end (see `chebyshev`).  R is the one n x n array a
+Hamiltonian keeps; a float32 filter call casts its own copy.
 """
 
 from __future__ import annotations
@@ -139,35 +143,51 @@ def apply_j(x) -> np.ndarray:
     return np.concatenate([x[m:], -x[:m]], axis=0)
 
 
+def to_real_block(x: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """Y = [Re(y) | Im(y)] with y = Q* x / sqrt(2), an F-order n x 2k block.
+
+    Q* x / sqrt(2) = [x1 + x2; i (x2 - x1)] / 2 is written by sums and sign
+    flips and one exact scaling by 1/2.  x is a 2-D complex array with an
+    even row count.
+    """
+    m, k = x.shape[0] // 2, x.shape[1]
+    x1r, x1i = x[:m].real, x[:m].imag
+    x2r, x2i = x[m:].real, x[m:].imag
+    y = np.empty((2 * m, 2 * k), dtype=dtype, order="F")
+    np.add(x1r, x2r, out=y[:m, :k])
+    np.add(x1i, x2i, out=y[:m, k:])
+    np.subtract(x1i, x2i, out=y[m:, :k])
+    np.subtract(x2r, x1r, out=y[m:, k:])
+    y *= 0.5
+    return y
+
+
+def from_real_block(y: np.ndarray) -> np.ndarray:
+    """sqrt(2) Q y = [y1 + i y2; y1 - i y2] as complex128 from Y = [Re(y) | Im(y)].
+
+    The inverse of to_real_block: from_real_block(to_real_block(x)) is x.
+    """
+    m, k = y.shape[0] // 2, y.shape[1] // 2
+    y1r, y1i = y[:m, :k], y[:m, k:]
+    y2r, y2i = y[m:, :k], y[m:, k:]
+    x = np.empty((2 * m, k), dtype=np.complex128, order="F")
+    np.subtract(y1r, y2i, out=x[:m].real)
+    np.add(y1i, y2r, out=x[:m].imag)
+    np.add(y1r, y2i, out=x[m:].real)
+    np.subtract(y1i, y2r, out=x[m:].imag)
+    return x
+
+
 def _apply_sh(ham: BseHamiltonian, x: np.ndarray) -> np.ndarray:
     """(S H) x = Q R Q* x with one real GEMM against the cached R.
 
-    Q* x is written as the n x 2k float64 block V = [Re(Q* x) | Im(Q* x)]
-    by sums and sign flips, R V is formed as (V^T R)^T, the faster GEMM
-    orientation on OpenBLAS, which is R V because R = R^T exactly; and Q
-    is applied to the two halves of the result.  The two 1/sqrt(2) factors of Q and Q* meet as one exact
-    scaling by 1/2.  x is a 2-D complex128 array with n rows.
+    R Y for Y = to_real_block(x) is formed as (Y^T R)^T, the faster GEMM
+    orientation on OpenBLAS, which is R Y because R = R^T exactly; the
+    two 1/sqrt(2) factors of Q and Q* are the 1/2 of to_real_block.  x is
+    a 2-D complex128 array with n rows.
     """
-    m, k = ham.m, x.shape[1]
-    x1r, x1i = x[:m].real, x[:m].imag
-    x2r, x2i = x[m:].real, x[m:].imag
-    # V = 2 Q* x: upper half x1 + x2, lower half i (x2 - x1)
-    v = np.empty((ham.n, 2 * k), dtype=np.float64, order="F")
-    np.add(x1r, x2r, out=v[:m, :k])
-    np.add(x1i, x2i, out=v[:m, k:])
-    np.subtract(x1i, x2i, out=v[m:, :k])
-    np.subtract(x2r, x1r, out=v[m:, k:])
-    v *= 0.5
-    z = (v.T @ cached_real_form(ham)).T
-    # with w = R Q* x = z_re + i z_im, (S H) x = Q w = [w1 + i w2; w1 - i w2]
-    z1r, z1i = z[:m, :k], z[:m, k:]
-    z2r, z2i = z[m:, :k], z[m:, k:]
-    out = np.empty((ham.n, k), dtype=np.complex128, order="F")
-    np.subtract(z1r, z2i, out=out[:m].real)
-    np.add(z1i, z2r, out=out[:m].imag)
-    np.add(z1r, z2i, out=out[m:].real)
-    np.subtract(z1i, z2r, out=out[m:].imag)
-    return out
+    y = to_real_block(x)
+    return from_real_block((y.T @ cached_real_form(ham)).T)
 
 
 def apply_h(

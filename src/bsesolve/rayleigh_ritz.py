@@ -39,11 +39,11 @@ _EXACT_NORM_LIMIT = 1024
 
 @dataclass
 class ReducedProblem:
-    """Reduced k x k data of one projection; l and d depend on the variant."""
+    """Reduced k x k data of one projection: W = Q*SHQ (hermitian variant)
+    or Q*HQ (backup), M = Q*SQ, the matrix G whose eigenpairs give the Ritz
+    pairs, and the backup's diagonal scaling d (None when hermitian)."""
 
-    variant: str
     w: np.ndarray
-    l: np.ndarray | None
     m: np.ndarray
     g: np.ndarray
     d: np.ndarray | None
@@ -136,9 +136,7 @@ def build_hermitian_rq(
     if ledger is not None:
         # the H-product is charged by apply_h
         ledger.add_flops("rr", 12.0 * n * k * k + 16.0 * k**3)
-    reduced = ReducedProblem(
-        variant="hermitian", w=w, l=ell, m=mqsq, g=g, d=None, lambda_min_m=lam_min_m
-    )
+    reduced = ReducedProblem(w=w, m=mqsq, g=g, d=None, lambda_min_m=lam_min_m)
     return RitzSet(values=lam, vectors=vectors), reduced
 
 
@@ -173,9 +171,7 @@ def build_backup_rq(
     if ledger is not None:
         # the H-product is charged by apply_h
         ledger.add_flops("rr", 20.0 * n * k * k + 30.0 * k**3)
-    reduced = ReducedProblem(
-        variant="backup", w=w, l=None, m=mqsq, g=g, d=dvec, lambda_min_m=lam_min_m
-    )
+    reduced = ReducedProblem(w=w, m=mqsq, g=g, d=dvec, lambda_min_m=lam_min_m)
     return RitzSet(values=lam, vectors=vectors), reduced
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -87,7 +89,7 @@ class TestSolveCommand:
         vecs = fileio.read_pchv(out / "eigenvectors.bin")
         assert vecs.shape == (64, 4)
 
-    def test_odd_degree_rounded_with_warning(self, runner, tmp_path):
+    def test_odd_degree_runs_as_given(self, runner, tmp_path):
         a, b = _generate_inputs(runner, tmp_path / "in", m=8, seed=2)
         result = runner.invoke(
             cli,
@@ -95,7 +97,9 @@ class TestSolveCommand:
              "--deg", "13", "--out", str(tmp_path / "out")],
         )
         assert result.exit_code == 0, result.output
-        assert "rounding 13 up to 14" in result.output
+        assert "warning" not in result.output
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["config"]["deg"] == 13
 
     def test_nev_too_large_is_validation_error(self, runner, tmp_path):
         a, b = _generate_inputs(runner, tmp_path / "in", m=8, seed=2)

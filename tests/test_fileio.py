@@ -162,7 +162,7 @@ class TestCsv:
         lines = [l for l in p.read_text().splitlines() if not l.startswith("#")]
         assert lines[0] == (
             "iter,locked,k,max_res,min_res_unlocked,mu_nevex,variant,"
-            "lambda_min_M,flops"
+            "lambda_min_M,flops,precision,filter_s,ortho_s,rr_s,residuals_s"
         )
         assert len(lines) == 1 + len(result.trace)
 

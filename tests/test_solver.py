@@ -1,10 +1,11 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from bsesolve import hamiltonian
+from bsesolve import hamiltonian, solver
 from bsesolve import (
     BseHamiltonian,
     Definiteness,
@@ -117,7 +118,7 @@ class TestSolve:
         with pytest.raises(ValidationError):
             solve(ham, SolverConfig(nev=5, nex=5))  # nevex > n/2
         with pytest.raises(ValidationError):
-            solve(ham, SolverConfig(nev=2, deg=7))
+            solve(ham, SolverConfig(nev=2, deg=0))
         with pytest.raises(ValidationError):
             solve(ham, SolverConfig(nev=0))
         with pytest.raises(ValidationError):
@@ -146,12 +147,13 @@ class TestSolve:
         assert res.converged
         assert res.residual_norms.max() <= cfg.tol * abs(res.bounds.mu_1)
 
-    def test_plain_kernel_switch_matches_alternating(self):
+    def test_odd_degree_matches_even(self):
         ham = generate(GeneratorSpec(m=32, seed=15))
-        r_alt = solve(ham, SolverConfig(nev=4, seed=15))
-        r_plain = solve(ham, SolverConfig(nev=4, seed=15, plain_kernel_only=True))
+        r_even = solve(ham, SolverConfig(nev=4, seed=15))
+        r_odd = solve(ham, SolverConfig(nev=4, seed=15, deg=15))
+        assert r_odd.converged
         np.testing.assert_allclose(
-            r_alt.lambdas, r_plain.lambdas, atol=1e-12 * rho_sh(ham)
+            r_even.lambdas, r_odd.lambdas, atol=1e-12 * rho_sh(ham)
         )
 
     def test_phase_flops_accumulate(self):
@@ -279,8 +281,8 @@ class TestSolvePathUsesNumpyOnly:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{}, {"rr_variant": "backup"}, {"plain_kernel_only": True}],
-        ids=["auto", "backup", "plain_kernel_only"],
+        [{}, {"rr_variant": "backup"}, {"deg": 7}],
+        ids=["auto", "backup", "odd_degree"],
     )
     def test_no_scipy_linalg_call(self, monkeypatch, overrides):
         generated = generate(GeneratorSpec(m=32, seed=30))
@@ -300,6 +302,89 @@ class TestSolvePathUsesNumpyOnly:
             scipy.linalg.cholesky(np.eye(2))
         monkeypatch.undo()
         assert calls == ["scipy.linalg.cholesky"]
+
+
+def _float64_only(monkeypatch):
+    """Run every filter call of later solves in float64."""
+    filt = solver.chebyshev_filter
+
+    def float64_filter(ham, vhat, cfg, ledger=None):
+        return filt(ham, vhat, replace(cfg, precision="float64"), ledger)
+
+    monkeypatch.setattr(solver, "chebyshev_filter", float64_filter)
+
+
+def _precisions(res):
+    return [row.precision for row in res.trace]
+
+
+class TestFilterPrecision:
+    """The filter starts in float32 and moves to float64 once, for good."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_float32_then_float64_never_back(self, seed):
+        ham = generate(GeneratorSpec(m=64, seed=50 + seed))
+        res = solve(ham, SolverConfig(nev=8, seed=seed, tol=1e-10))
+        assert res.converged
+        prec = _precisions(res)
+        assert prec[0] == "float32" and prec[-1] == "float64"
+        switch = prec.index("float64")
+        assert prec == ["float32"] * switch + ["float64"] * (len(prec) - switch)
+
+    def test_trace_columns_follow_the_ledger(self):
+        ham = generate(GeneratorSpec(m=32, seed=16))
+        res = solve(BseHamiltonian(ham.a, ham.b), SolverConfig(nev=4, seed=16))
+        for phase in ("filter", "ortho", "rr", "residuals"):
+            per_iter = [getattr(row, f"{phase}_s") for row in res.trace]
+            assert min(per_iter) > 0
+            assert sum(per_iter) == pytest.approx(res.ledger.seconds[phase], rel=1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_stagnation_guard_alone_ends_float32(self, monkeypatch, seed):
+        # with no floor threshold only the guard can switch; without the
+        # guard a float32 filter stalls near 2 eps32 |mu_1| and the solve
+        # runs to maxiter at n = 512
+        ham = generate(GeneratorSpec(m=256, seed=seed))
+        cfg = SolverConfig(nev=16, seed=seed)
+        monkeypatch.setattr(solver, "FLOAT32_FLOOR_FACTOR", 0.0)
+        res = solve(ham, cfg)
+        assert res.converged
+        prec = _precisions(res)
+        switch = prec.index("float64")
+        assert prec == ["float32"] * switch + ["float64"] * (len(prec) - switch)
+        monkeypatch.setattr(solver, "FLOAT32_MIN_PROGRESS", 0.0)
+        stalled = solve(ham, replace(cfg, maxiter=12))
+        assert not stalled.converged
+        assert set(_precisions(stalled)) == {"float32"}
+        monkeypatch.undo()
+        _float64_only(monkeypatch)
+        ref = solve(ham, cfg)
+        scale = np.abs(ref.lambdas).max()
+        assert np.abs(res.lambdas - ref.lambdas).max() <= 1e-13 * scale
+
+    def test_cutoff_after_float32_skips_values_at_the_floor(self):
+        # after the float32 iteration 1 the Ritz values are [-141.7, -41.7]:
+        # the first is spurious (below mu_1), the second is the target at
+        # the float32 floor; a cutoff kept at the Lanczos value (the second
+        # eigenvalue) or put on the target stalled this solve for 25
+        # iterations, so 0 (the widest passband) stands in
+        ham = generate(GeneratorSpec(m=8, seed=0, coupling_ratio=0.999))
+        res = solve(ham, SolverConfig(nev=1, nex=1, seed=0))
+        assert res.converged and res.iterations_used <= 3
+        assert _precisions(res)[:2] == ["float32", "float64"]
+        assert res.trace[1].mu_nevex == 0.0
+
+    @pytest.mark.parametrize("variant, tol", [("auto", 1e-8), ("backup", 1e-8), ("auto", 1e-9)])
+    def test_matches_float64_only_run(self, monkeypatch, variant, tol):
+        ham = generate(GeneratorSpec(m=128, seed=60))
+        cfg = SolverConfig(nev=8, seed=60, tol=tol, rr_variant=variant)
+        mixed = solve(ham, cfg)
+        _float64_only(monkeypatch)
+        ref = solve(ham, cfg)
+        assert mixed.converged and ref.converged
+        assert abs(mixed.iterations_used - ref.iterations_used) <= 1
+        scale = np.abs(ref.lambdas).max()
+        assert np.abs(mixed.lambdas - ref.lambdas).max() <= 1e-13 * scale
 
 
 class TestHermitianParity:
