@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -181,12 +182,7 @@ def solve_cmd(a_path, b_path, pchb_path, nev, nex, deg, tol, maxiter, rr, seed,
     fileio.write_manifest(
         out_dir / "manifest.json",
         command="solve",
-        config={
-            "nev": cfg.nev, "nex": cfg.nex, "deg": cfg.deg, "tol": cfg.tol,
-            "maxiter": cfg.maxiter, "rr_variant": cfg.rr_variant, "seed": cfg.seed,
-            "lanczos_steps": cfg.lanczos_steps, "rel_res": cfg.rel_res,
-            "reproducible": cfg.reproducible, "largest": largest,
-        },
+        config={**asdict(cfg), "largest": largest},
         inputs=inputs,
         outputs=["eigenvalues.csv", "eigenvectors.bin", "trace.csv"],
         seed=seed,
@@ -308,6 +304,14 @@ def bench_cmd(a_path, b_path, pchb_path, nev, nex, deg, tol, maxiter, rr, seed,
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     phases = sorted({p for result, _ in runs for p in result.ledger.flops})
+    # per phase: the seconds of every rep and the modeled FLOPs of rep 0
+    first = runs[0][0].ledger
+    summary = [
+        (phase, [r.ledger.seconds.get(phase, 0.0) for r, _ in runs],
+         first.flops.get(phase, 0.0))
+        for phase in phases
+    ]
+    summary.append(("total", [w for _, w in runs], first.total_flops()))
     with open(out_dir / "bench.csv", "w", newline="\n") as fh:
         fh.write("# bsesolve bench v1\n")
         fh.write("# manifest: manifest.json\n")
@@ -322,13 +326,7 @@ def bench_cmd(a_path, b_path, pchb_path, nev, nex, deg, tol, maxiter, rr, seed,
                 fh.write(f"{rep},{phase},{sec:.6f},{flops:.0f},{rate:.3f}\n")
             fh.write(f"{rep},total,{wall:.6f},{led.total_flops():.0f},"
                      f"{led.total_flops() / wall / 1e9:.3f}\n")
-        for phase in phases + ["total"]:
-            if phase == "total":
-                secs = [w for _, w in runs]
-                flops = runs[0][0].ledger.total_flops()
-            else:
-                secs = [r.ledger.seconds.get(phase, 0.0) for r, _ in runs]
-                flops = runs[0][0].ledger.flops.get(phase, 0.0)
+        for phase, secs, flops in summary:
             fh.write(
                 f"summary,{phase},{min(secs):.6f}/{sum(secs) / len(secs):.6f}/"
                 f"{max(secs):.6f},{flops:.0f},\n"
@@ -336,22 +334,12 @@ def bench_cmd(a_path, b_path, pchb_path, nev, nex, deg, tol, maxiter, rr, seed,
     fileio.write_manifest(
         out_dir / "manifest.json",
         command="bench",
-        config={
-            "nev": cfg.nev, "nex": cfg.nex, "deg": cfg.deg, "tol": cfg.tol,
-            "maxiter": cfg.maxiter, "rr_variant": cfg.rr_variant, "seed": cfg.seed,
-            "reps": reps,
-        },
+        config={**asdict(cfg), "reps": reps},
         inputs=inputs,
         outputs=["bench.csv"],
         seed=seed,
     )
-    for phase in phases + ["total"]:
-        if phase == "total":
-            secs = [w for _, w in runs]
-            flops = runs[0][0].ledger.total_flops()
-        else:
-            secs = [r.ledger.seconds.get(phase, 0.0) for r, _ in runs]
-            flops = runs[0][0].ledger.flops.get(phase, 0.0)
+    for phase, secs, flops in summary:
         click.echo(
             f"{phase:10s} min/avg/max {min(secs):.4f}/{sum(secs) / len(secs):.4f}/"
             f"{max(secs):.4f} s, modeled {flops / 1e9:.3f} GFLOP"

@@ -161,18 +161,24 @@ def _density_cutoff(theta: np.ndarray, weights: np.ndarray, nevex: int, n: int) 
     return float(theta[j])
 
 
-def update_cutoff(bounds: SpectralBounds, nonconverged_ritz) -> SpectralBounds:
-    """Replace mu_nevex by the largest non-converged Ritz value.
+def update_cutoff(
+    bounds: SpectralBounds, ritz_values, residual_norms, floor: float
+) -> SpectralBounds:
+    """Move mu_nevex to the largest Ritz value that still needs the filter.
 
-    mu_1 and mu_n stay fixed for the whole solve; the new cutoff may move
-    in either direction.  A candidate at or above mu_n would make the
-    damped interval empty and is ignored in favor of the current cutoff.
+    The one cutoff rule of a solve.  A Ritz value is a candidate when its
+    residual is above floor (the locking threshold, raised to the float32
+    floor after a float32 filter, which leaves residuals near that floor:
+    values at it are targets, and a cutoff on a target leaves the filter
+    no contrast) and it is not below mu_1 (such values are spurious, from
+    a near-singular Q*SQ).  The largest candidate is clamped to 0: the
+    targets all lie on the negative axis (nev + nex <= n/2 with a
+    symmetric spectrum), and a cutoff at 0 widens the passband to the
+    whole target half axis until the subspace has purged its positive-side
+    components.  With no candidate left the cutoff is 0.  mu_1 and mu_n
+    stay fixed for the whole solve.
     """
-    values = np.asarray(nonconverged_ritz, dtype=np.float64)
-    if values.size == 0:
-        raise ValidationError("update_cutoff needs at least one Ritz value")
-    candidate = float(values.max())
-    if not candidate < bounds.mu_n:
-        return bounds
-    candidate = max(candidate, bounds.mu_1)
-    return replace(bounds, mu_nevex=candidate)
+    values = np.asarray(ritz_values, dtype=np.float64)
+    keep = (np.asarray(residual_norms) > floor) & (values >= bounds.mu_1)
+    cutoff = min(float(values[keep].max()), 0.0) if keep.any() else 0.0
+    return replace(bounds, mu_nevex=cutoff)

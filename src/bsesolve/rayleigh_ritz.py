@@ -57,7 +57,6 @@ class RitzSet:
     values: np.ndarray
     vectors: np.ndarray
     residual_norms: np.ndarray | None = None
-    converged: np.ndarray | None = None
 
     @property
     def k(self) -> int:
@@ -81,9 +80,8 @@ def _ritz_sorted(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, n
     return values[order], vectors[:, order]
 
 
-def _lambda_min_m(mqsq: np.ndarray) -> tuple[float, np.ndarray]:
-    eigs = np.linalg.eigvalsh(mqsq)
-    return float(np.abs(eigs).min()), eigs
+def _lambda_min_m(mqsq: np.ndarray) -> float:
+    return float(np.abs(np.linalg.eigvalsh(mqsq)).min())
 
 
 def _form_m(q: np.ndarray) -> np.ndarray:
@@ -112,7 +110,7 @@ def build_hermitian_rq(
     w = q.conj().T @ t
     w = (w + w.conj().T) / 2.0
     mqsq = _form_m(q)
-    lam_min_m, _ = _lambda_min_m(mqsq)
+    lam_min_m = _lambda_min_m(mqsq)
     if lam_min_m < M_SINGULARITY_TOL:
         raise HermitianRqError(
             f"|lambda_min(Q*SQ)| = {lam_min_m:.3e} below {M_SINGULARITY_TOL:.0e}"
@@ -157,7 +155,7 @@ def build_backup_rq(
     t = apply_h(ham, q, ledger, "rr")
     w = q.conj().T @ t
     mqsq = _form_m(q)
-    lam_min_m, _ = _lambda_min_m(mqsq)
+    lam_min_m = _lambda_min_m(mqsq)
     dvec = np.real(np.diag(mqsq)).copy()
     dvec[np.abs(dvec) <= DIAG_ZERO_TOL] = 1.0
     off = mqsq - np.diag(np.diag(mqsq))
@@ -201,9 +199,7 @@ def lock_converged(
     """
     if ritz.residual_norms is None:
         raise ValidationError("residuals must be computed before locking")
-    threshold = tol * normalizer
-    converged = ritz.residual_norms <= threshold
-    ritz.converged = converged
+    converged = ritz.residual_norms <= tol * normalizer
     count = 0
     while count < ritz.k and count < nev and converged[count]:
         count += 1
@@ -225,7 +221,7 @@ def diagnostics(
     """
     q = np.asarray(q_active, dtype=np.complex128)
     mqsq = _form_m(q)
-    lam_min_m, _ = _lambda_min_m(mqsq)
+    lam_min_m = _lambda_min_m(mqsq)
     radius = rho_sh(ham)
     singular = lam_min_m < M_SINGULARITY_TOL
     if cond_h is None:
@@ -267,7 +263,7 @@ def dual_basis_explicit(q_active: np.ndarray, m_choice: str = "full") -> np.ndar
     sq = apply_s(q)
     mqsq = _form_m(q)
     if m_choice == "full":
-        lam_min_m, _ = _lambda_min_m(mqsq)
+        lam_min_m = _lambda_min_m(mqsq)
         if lam_min_m <= DIAG_ZERO_TOL:
             raise ValidationError(f"Q*SQ is singular (|lambda|_min = {lam_min_m:.3e})")
         return np.linalg.solve(mqsq.T, sq.T).T

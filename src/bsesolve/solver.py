@@ -4,8 +4,11 @@ One solve owns all of its mutable state and is deterministic per seed.
 Each iteration filters only the non-locked columns, orthonormalizes them
 against the sign-flipped locked vectors, extracts Ritz pairs with the
 hermitian-equivalent projection (falling back to the non-hermitian one on
-its rare failures), locks the converged smallest pairs and tightens the
-filter cutoff from the largest non-converged Ritz value.
+its rare failures), locks the converged smallest pairs and moves the
+filter cutoff with `lanczos.update_cutoff`, the one cutoff rule: the
+largest active Ritz value whose residual is above the locking threshold
+(above the float32 floor after a float32 filter) and that is not below
+mu_1 (a spurious value), clamped to 0, or 0 when no value is left.
 
 The Chebyshev filter, most of a solve's time, runs in float32 at first
 (Higham & Mary, Acta Numerica 31, 2022): it only has to separate the
@@ -274,27 +277,10 @@ def solve(ham: BseHamiltonian, cfg: SolverConfig) -> SolveResult:
             break
 
         vhat = ritz.vectors[:, active_idx]
-        active_vals = ritz.values[active_idx]
-        still_out = ~ritz.converged[active_idx]
+        floor = tol * normalizer
         if fcfg.precision == "float32":
-            # a float32 filter leaves residuals near its floor, so Ritz values
-            # already below float32_floor are targets, not cutoff candidates
-            # (with nex = 0 or a degenerate cluster filling nevex the cutoff
-            # would land on them and leave the filter no contrast)
-            candidates = active_vals[still_out & (res[active_idx] > float32_floor)]
-        else:
-            candidates = active_vals[still_out] if still_out.any() else active_vals
-        # Ritz values below mu_1 are spurious (near-singular Q*SQ) and are
-        # dropped; the targets all lie on the negative axis (nev + nex <=
-        # n/2 with a symmetric spectrum), so values above zero clamp the
-        # cutoff to 0, which widens the passband to the whole target half
-        # axis until the subspace has purged its positive-side components;
-        # after a float32 iteration that leaves no candidate, 0 stands in
-        candidates = np.minimum(candidates[candidates >= current.mu_1], 0.0)
-        if fcfg.precision == "float32" and not candidates.size:
-            candidates = np.zeros(1)
-        if candidates.size:
-            current = update_cutoff(current, candidates)
+            floor = max(floor, float32_floor)
+        current = update_cutoff(current, ritz.values[active_idx], res[active_idx], floor)
 
     if converged:
         vals = np.array(locked_vals)

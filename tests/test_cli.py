@@ -1,10 +1,11 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from bsesolve import GeneratorSpec, generate
+from bsesolve import GeneratorSpec, SolverConfig, generate
 from bsesolve import fileio
 from bsesolve.cli import cli
 
@@ -284,6 +285,20 @@ class TestBenchCommand:
         assert len(per_rep) == 3 * len({r.split(",")[1] for r in per_rep})
         assert any(r.startswith("summary,filter") for r in rows)
         assert "total" in result.output
+
+    def test_manifest_echoes_every_solver_field(self, runner, tmp_path):
+        a, b = _generate_inputs(runner, tmp_path / "in", m=16, seed=3)
+        out = tmp_path / "out"
+        result = runner.invoke(
+            cli, ["bench", "--a", str(a), "--b", str(b), "--nev", "2", "--reps", "1",
+                  "--lanczos-steps", "12", "--rel-res", "--no-reproducible",
+                  "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert set(config) == {f.name for f in fields(SolverConfig)} | {"reps"}
+        assert config["lanczos_steps"] == 12
+        assert config["rel_res"] is True and config["reproducible"] is False
 
     def test_filter_dominates_modeled_flops(self, runner, tmp_path):
         a, b = _generate_inputs(runner, tmp_path / "in", m=64, seed=1)

@@ -91,30 +91,48 @@ class TestEstimateBounds:
 
 
 class TestUpdateCutoff:
+    FLOOR = 1e-8
+
     def _bounds(self, mu_nevex=-0.1):
         return SpectralBounds(
             mu_1=-2.0, mu_nevex=mu_nevex, mu_n=2.0, steps=4,
             ritz_values=np.array([-1.0, 1.0]), ritz_weights=np.array([0.5, 0.5]),
         )
 
+    def _update(self, values, residuals=None, mu_nevex=-0.1):
+        if residuals is None:
+            residuals = np.ones(len(values))
+        return update_cutoff(self._bounds(mu_nevex), values, residuals, self.FLOOR)
+
     def test_interval_narrows(self):
-        updated = update_cutoff(self._bounds(-0.1), [-0.5])
+        updated = self._update([-0.5])
         assert updated.mu_nevex == -0.5
         assert updated.mu_1 == -2.0 and updated.mu_n == 2.0
 
     def test_single_element(self):
-        assert update_cutoff(self._bounds(), [-1.3]).mu_nevex == -1.3
+        assert self._update([-1.3]).mu_nevex == -1.3
 
     def test_takes_the_maximum(self):
-        assert update_cutoff(self._bounds(), [-1.5, -0.7, -1.1]).mu_nevex == -0.7
+        assert self._update([-1.5, -0.7, -1.1]).mu_nevex == -0.7
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            update_cutoff(self._bounds(), [])
+    def test_no_value_left_gives_zero(self):
+        assert self._update([]).mu_nevex == 0.0
+        assert self._update([-1.5, -0.7], [0.0, self.FLOOR], mu_nevex=-0.4).mu_nevex == 0.0
 
     def test_reflection_preserved(self):
-        updated = update_cutoff(self._bounds(), [-0.2])
+        updated = self._update([-0.2])
         assert updated.mu_n == -updated.mu_1
 
-    def test_candidate_at_or_above_mu_n_ignored(self):
-        assert update_cutoff(self._bounds(-0.4), [2.5]).mu_nevex == -0.4
+    def test_positive_value_clamps_to_zero(self):
+        assert self._update([-1.5, 2.5], mu_nevex=-0.4).mu_nevex == 0.0
+
+    def test_residual_at_or_below_floor_skipped(self):
+        values = [-1.5, -1.1, -0.7]
+        residuals = [1.0, 1.0, self.FLOOR]
+        assert self._update(values, residuals).mu_nevex == -1.1
+        assert self._update(values, [1.0, 0.5 * self.FLOOR, 0.0]).mu_nevex == -1.5
+
+    def test_value_below_mu_1_skipped(self):
+        assert self._update([-2.5, -1.1]).mu_nevex == -1.1
+        assert self._update([-2.5]).mu_nevex == 0.0
+        assert self._update([-2.0, -2.5]).mu_nevex == -2.0

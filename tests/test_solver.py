@@ -133,6 +133,19 @@ class TestSolve:
         assert all(b <= a for a, b in zip(ks, ks[1:]))
         assert ks[0] == 12  # nevex columns active at the start
 
+    @pytest.mark.parametrize(
+        "m, nev, nex, variant",
+        [(48, 6, None, "auto"), (32, 4, 0, "auto"), (64, 8, 1, "backup"), (8, 1, 1, "auto")],
+    )
+    def test_cutoff_between_mu_1_and_zero(self, m, nev, nex, variant):
+        # from iteration 2 on the cutoff is update_cutoff's: never below
+        # mu_1 and clamped to 0
+        ham = generate(GeneratorSpec(m=m, seed=12))
+        res = solve(ham, SolverConfig(nev=nev, nex=nex, seed=12, rr_variant=variant))
+        assert len(res.trace) >= 2
+        for row in res.trace[1:]:
+            assert res.bounds.mu_1 <= row.mu_nevex <= 0.0
+
     def test_locked_residuals_below_tolerance(self):
         ham = generate(GeneratorSpec(m=48, seed=13))
         cfg = SolverConfig(nev=6, seed=13)
