@@ -19,11 +19,20 @@ with two signs (new real part [-Z_im[m:]; Z_im[:m]], new imaginary part
 reads in place.
 
 `FilterConfig.precision` picks the dtype of Y and of R.  In "float32" the
-filter casts R for the length of the call (n^2 * 4 bytes, dropped on
-return) and the GEMMs run as sgemm; the output is accurate to a small
-multiple of float32's unit roundoff, enough to separate the wanted
-subspace but not to resolve it to a float64 tolerance, so the solver runs
-float32 only until the residuals near the float32 floor.
+GEMMs run as sgemm on a float32 copy of R (the caller's, or one cast for
+the length of the call).  The plain filter's float32 output is accurate
+to a small multiple of float32's unit roundoff relative to ||x||.
+
+The corrected filter removes that floor on Ritz pairs (mixed-precision
+defect correction; Higham & Mary, Acta Numerica 31, 2022).  For a Ritz
+pair (v, lam) with residual r = H v - lam v and a shift lam', p(H) v =
+p(lam') v + q(H) r' exactly, with r' = r + (lam - lam') v and
+q(t) = (p(t) - p(lam')) / (t - lam').  q obeys the filter's recurrence
+with one extra per-column term,
+q_{j+1} = alpha_j [(H - c) q_j + p_j(lam') r'] - beta_j q_{j-1}, from
+q_0 = 0 and q_1 = sigma1/e (a scaling, no product), so it runs on the
+real block of r' in the working dtype while p(lam') v is added in
+float64: the rounding then scales with ||r'||, not with ||v||.
 """
 
 from __future__ import annotations
@@ -74,21 +83,50 @@ class FilterConfig:
         )
 
 
+def residual_shifts(ritz_values, cfg: FilterConfig) -> np.ndarray:
+    """The shift lam' of each Ritz value in the corrected filter.
+
+    lam' = lam on [mu_1 - e/4, mu_n], else the centre c, where p is nearly
+    0.  Far below mu_1 (a spurious value) p(lam) is huge and p(lam') v
+    would cancel against q(H) r'.  The margin e/4 keeps lam' = lam for a
+    target just below mu_1 (clipping lam' to mu_1 stalled m = 256,
+    generator seed 13, whose lam_1 lies below mu_1); a wider margin let
+    spurious values through (clipping to mu_1 - e/4 left lambda_min(Q*SQ)
+    = 0.59 after row 2 of a backup solve at m = 256, generator seed 1).
+    """
+    values = np.asarray(ritz_values, dtype=np.float64)
+    c, e = cfg.center, cfg.half_width
+    inside = (values >= cfg.scale_ref - e / 4.0) & (values <= c + e)
+    return np.where(inside, values, c)
+
+
 def chebyshev_filter(
     ham: BseHamiltonian,
     vhat,
     cfg: FilterConfig,
     ledger: PhaseLedger | None = None,
+    ritz_values=None,
+    residual=None,
+    real_form: np.ndarray | None = None,
 ):
-    """Apply p(H) to the columns of vhat: degree real GEMMs on R, 4*n^2*k FLOPs each."""
+    """Apply p(H) to the columns of vhat.
+
+    Plain (no ritz_values): degree real GEMMs on R, 4*n^2*k FLOPs each.
+    Corrected, when the columns of vhat are Ritz vectors v with Ritz values
+    ritz_values and residuals residual = H v - lam v: the recurrence runs on
+    r' = residual + (lam - lam') v and the output is p(lam') v + q(H) r',
+    degree - 1 GEMMs.  real_form is R in the working dtype of cfg (cast
+    from the Hamiltonian's R for this call when missing or of another
+    dtype).
+    """
     x = np.asarray(vhat, dtype=np.complex128)
     if x.shape[0] != ham.n:
         raise ValidationError(f"operand has {x.shape[0]} rows, expected {ham.n}")
     cols = x if x.ndim == 2 else x[:, None]
     dtype = PRECISIONS[cfg.precision]
-    r = cached_real_form(ham)
-    if r.dtype != dtype:
-        r = r.astype(dtype)  # this call's copy, freed on return
+    r = real_form
+    if r is None or r.dtype != dtype:
+        r = cached_real_form(ham).astype(dtype, copy=False)
     m, k = ham.m, cols.shape[1]
     c, e = cfg.center, cfg.half_width
     sigma1 = e / (cfg.scale_ref - c)
@@ -111,15 +149,34 @@ def chebyshev_filter(
         y_prev[m:, k:] -= z[:m, :k]
         return y_prev
 
-    y_prev = to_real_block(cols, dtype)
-    y = step(y_prev, np.zeros_like(y_prev), sigma1 / e, 0.0)
+    if ritz_values is None:
+        y_prev = to_real_block(cols, dtype)
+        y = step(y_prev, np.zeros_like(y_prev), sigma1 / e, 0.0)
+        products = cfg.degree
+    else:
+        # q_0 = 0 and q_1 = sigma1/e; gain holds p_j(lam') per column
+        shift = residual_shifts(ritz_values, cfg)
+        lam = np.asarray(ritz_values, dtype=np.float64)
+        source = np.asarray(residual, dtype=np.complex128).reshape(cols.shape)
+        source = to_real_block(source + cols * (lam - shift), dtype)
+        y_prev, y = np.zeros_like(source), source * (sigma1 / e)
+        gain_prev, gain = np.ones(k), (shift - c) * (sigma1 / e)
+        products = cfg.degree - 1
     for _ in range(2, cfg.degree + 1):
         sigma_new = 1.0 / (2.0 / sigma1 - sigma)
-        y_prev, y = y, step(y, y_prev, 2.0 * sigma_new / e, sigma * sigma_new)
+        alpha, beta = 2.0 * sigma_new / e, sigma * sigma_new
+        y_prev, y = y, step(y, y_prev, alpha, beta)
+        if ritz_values is not None:
+            np.multiply(source, np.tile(alpha * gain, 2).astype(dtype), out=scratch)
+            y += scratch
+            gain_prev, gain = gain, alpha * (shift - c) * gain - beta * gain_prev
         sigma = sigma_new
     if ledger is not None:
-        ledger.add_flops("filter", cfg.degree * 4.0 * ham.n * ham.n * k)
-    return from_real_block(y).reshape(x.shape)
+        ledger.add_flops("filter", products * 4.0 * ham.n * ham.n * k)
+    out = from_real_block(y)
+    if ritz_values is not None:
+        out += cols * gain
+    return out.reshape(x.shape)
 
 
 def scalar_filter_value(lam: float, cfg: FilterConfig) -> float:

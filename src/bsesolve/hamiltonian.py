@@ -16,7 +16,8 @@ hermitian and B exactly symmetric; the product kernel relies on it.
 Since Q* S Q = i J, Q* H Q = i J R: the Chebyshev filter stays in the real
 block coordinates of `to_real_block` for a whole polynomial and converts
 back only at its end (see `chebyshev`).  R is the one n x n array a
-Hamiltonian keeps; a float32 filter call casts its own copy.
+Hamiltonian keeps; a solve casts its own float32 copy for the filter and
+drops it on return.
 """
 
 from __future__ import annotations

@@ -162,23 +162,28 @@ def _density_cutoff(theta: np.ndarray, weights: np.ndarray, nevex: int, n: int) 
 
 
 def update_cutoff(
-    bounds: SpectralBounds, ritz_values, residual_norms, floor: float
+    bounds: SpectralBounds,
+    ritz_values,
+    residual_norms,
+    floor: float,
+    targets: int = 0,
 ) -> SpectralBounds:
     """Move mu_nevex to the largest Ritz value that still needs the filter.
 
-    The one cutoff rule of a solve.  A Ritz value is a candidate when its
-    residual is above floor (the locking threshold, raised to the float32
-    floor after a float32 filter, which leaves residuals near that floor:
-    values at it are targets, and a cutoff on a target leaves the filter
-    no contrast) and it is not below mu_1 (such values are spurious, from
-    a near-singular Q*SQ).  The largest candidate is clamped to 0: the
-    targets all lie on the negative axis (nev + nex <= n/2 with a
-    symmetric spectrum), and a cutoff at 0 widens the passband to the
-    whole target half axis until the subspace has purged its positive-side
-    components.  With no candidate left the cutoff is 0.  mu_1 and mu_n
-    stay fixed for the whole solve.
+    The one cutoff rule of a solve.  Values below mu_1 are dropped first
+    (they are spurious, from a near-singular Q*SQ), then the targets
+    smallest of the rest (the pairs still to lock: a cutoff on a target
+    leaves the filter no contrast there), then those whose residual is at
+    or below floor (the locking threshold).  The largest value left is
+    clamped to 0: the targets all lie on the negative axis (nev + nex <=
+    n/2 with a symmetric spectrum), and a cutoff at 0 widens the passband
+    to the whole target half axis until the subspace has purged its
+    positive-side components.  With no value left the cutoff is 0.  mu_1
+    and mu_n stay fixed for the whole solve.
     """
     values = np.asarray(ritz_values, dtype=np.float64)
-    keep = (np.asarray(residual_norms) > floor) & (values >= bounds.mu_1)
-    cutoff = min(float(values[keep].max()), 0.0) if keep.any() else 0.0
+    order = np.argsort(values, kind="stable")
+    order = order[values[order] >= bounds.mu_1][targets:]
+    keep = order[np.asarray(residual_norms)[order] > floor]
+    cutoff = min(float(values[keep].max()), 0.0) if keep.size else 0.0
     return replace(bounds, mu_nevex=cutoff)

@@ -52,11 +52,13 @@ class ReducedProblem:
 
 @dataclass
 class RitzSet:
-    """Ritz values (ascending, real), unit Ritz vectors and their residuals."""
+    """Ritz values (ascending, real), unit Ritz vectors and their residuals
+    (the norms and the block H V - V Lambda the next filter reads)."""
 
     values: np.ndarray
     vectors: np.ndarray
     residual_norms: np.ndarray | None = None
+    residual_vectors: np.ndarray | None = None
 
     @property
     def k(self) -> int:
@@ -178,8 +180,10 @@ def residuals(
     ritz: RitzSet,
     ledger: PhaseLedger | None = None,
 ) -> np.ndarray:
-    """Absolute residual 2-norms ||H v - lam v||_2, stored on the RitzSet."""
+    """Absolute residual 2-norms ||H v - lam v||_2; norms and vectors are
+    stored on the RitzSet."""
     r = apply_h(ham, ritz.vectors, ledger, "residuals") - ritz.vectors * ritz.values
+    ritz.residual_vectors = r
     ritz.residual_norms = np.linalg.norm(r, axis=0)
     return ritz.residual_norms
 

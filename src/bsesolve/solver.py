@@ -5,23 +5,22 @@ Each iteration filters only the non-locked columns, orthonormalizes them
 against the sign-flipped locked vectors, extracts Ritz pairs with the
 hermitian-equivalent projection (falling back to the non-hermitian one on
 its rare failures), locks the converged smallest pairs and moves the
-filter cutoff with `lanczos.update_cutoff`, the one cutoff rule: the
-largest active Ritz value whose residual is above the locking threshold
-(above the float32 floor after a float32 filter) and that is not below
-mu_1 (a spurious value), clamped to 0, or 0 when no value is left.
+filter cutoff with `lanczos.update_cutoff`, the one cutoff rule: drop the
+active Ritz values below mu_1 (spurious values) and then the smallest ones
+still to lock, and take the largest of the rest whose residual is above
+the locking threshold, clamped to 0, or 0 when no value is left.
 
-The Chebyshev filter, most of a solve's time, runs in float32 at first
-(Higham & Mary, Acta Numerica 31, 2022): it only has to separate the
-wanted subspace, and sgemm runs up to about 1.7 times as fast as dgemm.
-Iteration 1 always filters in float32.  The switch to float64 is one way
-and for good: it happens once the previous iteration's smallest unlocked
-residual is below FLOAT32_FLOOR_FACTOR * eps32 * |mu_1| (a float32
-filter leaves residuals near 2 * eps32 * |mu_1|), or once that residual
-fell by less than FLOAT32_MIN_PROGRESS in one iteration (the stagnation
-guard: without it an instance whose residuals stall above the threshold
-stays in float32 and runs to maxiter).  Orthonormalization, both
-Rayleigh-Ritz variants, the residuals, locking and Lanczos always run in
-float64.
+The Chebyshev filter, most of a solve's time, runs in float32 on every
+iteration, on a float32 copy of R cast once per solve: sgemm runs up to
+about 1.7 times as fast as dgemm.  Iteration 1 filters the random start
+block directly.  Every later iteration filters the previous iteration's
+Ritz vectors v through their residuals r = H v - lam v (mixed-precision
+defect correction; Higham & Mary, Acta Numerica 31, 2022): the recurrence
+runs in float32 on r' = r + (lam - lam') v and p(lam') v is added in
+float64 (see `chebyshev`), so the float32 rounding scales with ||r'||, not
+with ||v||, and no float32 floor stops the residuals.  Orthonormalization,
+both Rayleigh-Ritz variants, the residuals, locking and Lanczos always run
+in float64.
 
 Every dense linear-algebra call on the solve path, the definiteness check
 included, goes through numpy.linalg; scipy.linalg serves only the oracles
@@ -65,16 +64,6 @@ logger = logging.getLogger(__name__)
 #: rng substream tags of one solve (the generator owns tags 0 and 1).
 TAG_LANCZOS = 2
 TAG_SUBSPACE = 3
-
-#: The filter leaves float32 for good once the smallest unlocked residual
-#: is below this many eps32 * |mu_1| ...  Over criterion 1's 100 n = 512
-#: instances at tol 1e-8, at tol 1e-9 and with the backup variant, factors
-#: 3, 10 and 30 all left 290 of the 300 iteration counts of a float64-only
-#: filter unchanged (3 at -1, 6 at +1, 1 at +2) and 1 left 283; 10 sits in
-#: the middle of that plateau.
-FLOAT32_FLOOR_FACTOR = 10.0
-#: ... or once it fell by less than this factor in one iteration.
-FLOAT32_MIN_PROGRESS = 2.0
 
 
 @dataclass(frozen=True)
@@ -193,9 +182,9 @@ def solve(ham: BseHamiltonian, cfg: SolverConfig) -> SolveResult:
     converged = False
     iterations = 0
     current = bounds
-    precision = "float32"
-    float32_floor = FLOAT32_FLOOR_FACTOR * np.finfo(np.float32).eps * abs(bounds.mu_1)
-    prev_min_res = np.inf
+    r32 = None  # float32 copy of R, cast at the first filter call
+    # Ritz values and residual block of the columns of vhat (none in row 1)
+    vhat_values = vhat_residual = None
 
     for it in range(1, cfg.maxiter + 1):
         iterations = it
@@ -203,9 +192,13 @@ def solve(ham: BseHamiltonian, cfg: SolverConfig) -> SolveResult:
         seconds_before = dict(ledger.seconds)
         k = nevex - len(locked_vals)
 
-        fcfg = FilterConfig.from_bounds(current, cfg.deg, precision)
+        fcfg = FilterConfig.from_bounds(current, cfg.deg, "float32")
         with ledger.timing("filter"):
-            vhat = chebyshev_filter(ham, vhat, fcfg, ledger)
+            if r32 is None:
+                r32 = cached_real_form(ham).astype(np.float32)
+            vhat = chebyshev_filter(
+                ham, vhat, fcfg, ledger, vhat_values, vhat_residual, real_form=r32
+            )
         with ledger.timing("ortho"):
             space, _ = s_orthonormalize(vhat, locked_y, ledger)
 
@@ -259,28 +252,24 @@ def solve(ham: BseHamiltonian, cfg: SolverConfig) -> SolveResult:
                 variant=variant,
                 lambda_min_m=reduced.lambda_min_m,
                 flops=ledger.total_flops() - flops_before,
-                precision=precision,
+                precision="float32" if vhat_values is None else "float32-corrected",
                 filter_s=spent["filter"],
                 ortho_s=spent["ortho"],
                 rr_s=spent["rr"],
                 residuals_s=spent["residuals"],
             )
         )
-        if precision == "float32" and (
-            min_res < float32_floor or min_res * FLOAT32_MIN_PROGRESS > prev_min_res
-        ):
-            precision = "float64"
-        prev_min_res = min_res
 
         if len(locked_vals) >= cfg.nev:
             converged = True
             break
 
         vhat = ritz.vectors[:, active_idx]
-        floor = tol * normalizer
-        if fcfg.precision == "float32":
-            floor = max(floor, float32_floor)
-        current = update_cutoff(current, ritz.values[active_idx], res[active_idx], floor)
+        vhat_values = ritz.values[active_idx]
+        vhat_residual = ritz.residual_vectors[:, active_idx]
+        current = update_cutoff(
+            current, vhat_values, res[active_idx], tol * normalizer, cfg.nev - len(locked_vals)
+        )
 
     if converged:
         vals = np.array(locked_vals)

@@ -5,7 +5,9 @@ from bsesolve import (
     BseHamiltonian,
     FilterConfig,
     GeneratorSpec,
+    SolverConfig,
     ValidationError,
+    apply_h,
     chebyshev_filter,
     direct_solve_definite,
     estimate_bounds,
@@ -13,7 +15,9 @@ from bsesolve import (
     materialize,
     rng,
     scalar_filter_value,
+    solve,
 )
+from bsesolve.chebyshev import residual_shifts
 from bsesolve.metrics import PhaseLedger
 
 from conftest import LAM2, dense_filter
@@ -174,3 +178,91 @@ class TestFilterPrecision:
         assert ham._r.dtype == np.float64
         big = [v for v in vars(ham).values() if isinstance(v, np.ndarray) and v.size >= ham.n**2]
         assert len(big) == 1 and big[0] is ham._r
+
+
+def _ritz_pairs(m, seed, rel_residual):
+    """Eigenpairs of an n = 2m instance perturbed to residuals near
+    rel_residual * |mu_1|, with the bounds of a nevex = 2k filter."""
+    ham = generate(GeneratorSpec(m=m, seed=m + seed))
+    k = max(2, m // 16)
+    bounds = estimate_bounds(ham, nevex=2 * k, steps=24, seed=1)
+    eig = direct_solve_definite(ham)
+    noise = rng.complex_normal_matrix(rng.substream(seed, 9), ham.n, k)
+    v = eig.v[:, :k] + rel_residual * noise / np.linalg.norm(noise, axis=0)
+    v /= np.linalg.norm(v, axis=0)
+    lam = eig.lambdas[:k].copy()
+    return ham, bounds, v, lam, apply_h(ham, v) - v * lam
+
+
+class TestCorrectedFilter:
+    """p(H) v = p(lam') v + q(H) r' on Ritz pairs (v, lam) with residual r."""
+
+    @pytest.mark.parametrize("m, seed", [(16, 0), (64, 1), (256, 2)])
+    def test_float64_equals_plain_filter(self, m, seed):
+        # the identity itself: every column, inside and outside the
+        # shift window, matches the plain float64 filter
+        ham, bounds, v, lam, r = _ritz_pairs(m, seed, 1e-3)
+        lam[-1] = bounds.mu_1 - bounds.mu_n  # far below mu_1: shifted to c
+        r[:, -1] = apply_h(ham, v[:, -1]) - lam[-1] * v[:, -1]
+        cfg = FilterConfig.from_bounds(bounds, 20)
+        plain = chebyshev_filter(ham, v, cfg)
+        corrected = chebyshev_filter(ham, v, cfg, None, lam, r)
+        assert np.abs(corrected - plain).max() <= 1e-12 * np.abs(plain).max()
+
+    #: float32 corrected against float64, max-norm relative, in units of
+    #: eps32 * max ||r|| / |mu_1|: measured 4 to 37 over three instances
+    #: each at m = 16, 64, 256 and 1024; the plain float32 filter measures
+    #: 8e8 to 4e9 in the same units
+    K = 100.0
+
+    @pytest.mark.parametrize("m, seed", [(16, 0), (16, 1), (256, 0)])
+    def test_float32_error_scales_with_the_residual(self, m, seed):
+        ham, bounds, v, lam, r = _ritz_pairs(m, seed, 1e-9)
+        scale = np.finfo(np.float32).eps * np.linalg.norm(r, axis=0).max() / abs(bounds.mu_1)
+        ref = chebyshev_filter(ham, v, FilterConfig.from_bounds(bounds, 20))
+        cfg32 = FilterConfig.from_bounds(bounds, 20, precision="float32")
+
+        def err(out):
+            return np.abs(out - ref).max() / np.abs(ref).max()
+
+        assert err(chebyshev_filter(ham, v, cfg32, None, lam, r)) <= self.K * scale
+        assert err(chebyshev_filter(ham, v, cfg32)) > 1e3 * self.K * scale
+
+    def test_flop_model(self, ham_mid):
+        # q_1 is a scaling: degree - 1 products
+        ham, bounds, v, lam, r = _ritz_pairs(16, 0, 1e-3)
+        ledger = PhaseLedger()
+        chebyshev_filter(ham, v, FilterConfig.from_bounds(bounds, 10), ledger, lam, r)
+        assert ledger.flops["filter"] == pytest.approx(9 * 4.0 * ham.n**2 * v.shape[1])
+
+    def test_degree_one(self):
+        ham, bounds, v, lam, r = _ritz_pairs(16, 0, 1e-3)
+        cfg = FilterConfig.from_bounds(bounds, 1)
+        plain = chebyshev_filter(ham, v, cfg)
+        corrected = chebyshev_filter(ham, v, cfg, None, lam, r)
+        assert np.abs(corrected - plain).max() <= 1e-12 * np.abs(plain).max()
+
+    def test_shift_window(self):
+        cfg = FilterConfig(degree=4, center=1.0, half_width=4.0, scale_ref=-8.0)
+        # window [mu_1 - e/4, mu_n] = [-9, 5]; outside it the shift is c
+        values = np.array([-9.5, -9.0, -8.5, -3.0, 5.0, 5.5])
+        np.testing.assert_array_equal(
+            residual_shifts(values, cfg), [1.0, -9.0, -8.5, -3.0, 5.0, 1.0]
+        )
+
+    def test_target_below_mu_1_converges(self):
+        # lambda_1 = -1959.54 lies below mu_1 = -1957.85: clipping the
+        # shift to mu_1 stalled this solve at residual 8e-6
+        ham = generate(GeneratorSpec(m=256, seed=13))
+        res = solve(ham, SolverConfig(nev=16))
+        assert res.lambdas[0] < res.bounds.mu_1
+        assert res.converged and res.iterations_used == 5
+
+    def test_backup_projection_purges_after_row_2(self):
+        # clipping the shift to mu_1 - e/4 (no shift to c below it) let a
+        # spurious value through: lambda_min(Q*SQ) = 0.59 after row 2 and
+        # 5 iterations
+        ham = generate(GeneratorSpec(m=256, seed=1))
+        res = solve(ham, SolverConfig(nev=16, rr_variant="backup"))
+        assert res.converged and res.iterations_used == 4
+        assert min(row.lambda_min_m for row in res.trace[1:]) >= 0.99

@@ -136,3 +136,14 @@ class TestUpdateCutoff:
         assert self._update([-2.5, -1.1]).mu_nevex == -1.1
         assert self._update([-2.5]).mu_nevex == 0.0
         assert self._update([-2.0, -2.5]).mu_nevex == -2.0
+
+    def test_targets_dropped_after_values_below_mu_1(self):
+        b = self._bounds()
+        ones = np.ones(3)
+        # the one target is -1.1, not the spurious -2.5 below mu_1
+        assert update_cutoff(b, [-2.5, -1.1, -0.7], ones, self.FLOOR, 1).mu_nevex == -0.7
+        assert update_cutoff(b, [-0.7, -2.5, -1.1], ones, self.FLOOR, 2).mu_nevex == 0.0
+        # a dropped target is not replaced by a value at the floor
+        residuals = [1.0, 1.0, self.FLOOR]
+        assert update_cutoff(b, [-1.5, -1.1, -0.7], residuals, self.FLOOR, 1).mu_nevex == -1.1
+        assert update_cutoff(b, [-1.5, -1.1, -0.7], residuals, self.FLOOR, 2).mu_nevex == 0.0

@@ -162,6 +162,17 @@ class TestResiduals:
         res = residuals(ham_mid, ritz)
         assert res.max() <= 1e-12 * rho_sh(ham_mid)
 
+    def test_residual_block_is_kept(self, ham_mid):
+        # the block H V - V Lambda is what the next corrected filter reads
+        g = np.random.default_rng(4)
+        v = g.standard_normal((32, 3)) + 1j * g.standard_normal((32, 3))
+        ritz = RitzSet(values=np.array([-2.0, -1.0, 0.5]), vectors=v)
+        res = residuals(ham_mid, ritz)
+        np.testing.assert_array_equal(
+            ritz.residual_vectors, apply_h(ham_mid, v) - v * ritz.values
+        )
+        np.testing.assert_array_equal(res, np.linalg.norm(ritz.residual_vectors, axis=0))
+
     def test_pythagoras_for_rayleigh_quotient(self, ham_mid):
         g = np.random.default_rng(3)
         v = g.standard_normal(32) + 1j * g.standard_normal(32)
