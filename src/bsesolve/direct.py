@@ -6,6 +6,11 @@ same (real) spectrum as H, and right eigenvectors are recovered as
 v = L^{-*} y.  Left eigenvectors cost nothing: u = S v.  The reduced
 k x k hermitian/general eigensolvers used inside the Rayleigh-Ritz step
 live here as well, so every consumer shares one contract.
+
+The reduced eigensolvers run on numpy.linalg, as the whole solve path
+does.  Only the oracles (`direct_solve_definite`, `cond_of_h`, `rho_sh`)
+use scipy.linalg, and they import it when called, so a process that never
+runs an oracle never loads scipy or its second OpenBLAS.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import IndefiniteError, NumericalError, ValidationError
 from .hamiltonian import BseHamiltonian, apply_s, materialize_sh
@@ -42,6 +46,8 @@ class FullEigendecomposition:
 
 def direct_solve_definite(ham: BseHamiltonian) -> FullEigendecomposition:
     """Full spectrum via the Cholesky reduction (O(n^3), oracle use only)."""
+    import scipy.linalg as sla
+
     sh = materialize_sh(ham)
     try:
         ell = sla.cholesky(sh, lower=True)
@@ -69,6 +75,8 @@ def residual_norms_dense(ham: BseHamiltonian, lambdas, vectors) -> np.ndarray:
 
 def cond_of_h(ham: BseHamiltonian) -> float:
     """lambda_max(SH) / lambda_min(SH); equals sigma_max(H) / sigma_min(H)."""
+    import scipy.linalg as sla
+
     w = sla.eigvalsh(materialize_sh(ham))
     if w[0] <= 0:
         raise IndefiniteError(
@@ -80,6 +88,8 @@ def cond_of_h(ham: BseHamiltonian) -> float:
 
 def rho_sh(ham: BseHamiltonian) -> float:
     """Spectral radius of S H (= ||H||_2 in the definite case)."""
+    import scipy.linalg as sla
+
     return float(np.abs(sla.eigvalsh(materialize_sh(ham))).max())
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import rng
 from .errors import ValidationError
@@ -89,6 +88,8 @@ def field_of_values_bounds(ham: BseHamiltonian) -> tuple[float, float]:
     Every eigenvalue satisfies |Re| <= rho(A) and |Im| <= sigma_max(B);
     for B = 0 the spectrum is purely real.
     """
+    import scipy.linalg as sla
+
     re_bound = float(np.abs(sla.eigvalsh(ham.a)).max()) if ham.m else 0.0
     if not np.any(ham.b):
         im_bound = 0.0

@@ -23,11 +23,14 @@ both Rayleigh-Ritz variants, the residuals, locking and Lanczos always run
 in float64.
 
 Every dense linear-algebra call on the solve path, the definiteness check
-included, goes through numpy.linalg; scipy.linalg serves only the oracles
-in `direct`, `verify` and `generate`.  numpy and scipy each bundle their
+included, goes through numpy.linalg.  numpy and scipy each bundle their
 own OpenBLAS, each with its own spinning thread pool, and a solve that
 crossed between the two pools on every iteration ran about 2.5 times
-slower on two threads than on one at n = 512.
+slower on two threads than on one at n = 512.  No bsesolve module imports
+scipy at module level: only the oracles in `direct`, the `verify` checks
+and `generate.field_of_values_bounds` import scipy.linalg, inside the
+function that calls it, so `import bsesolve`, `solve()`, `generate()` and
+the `generate`, `solve` and `bench` commands never load scipy's OpenBLAS.
 """
 
 from __future__ import annotations

@@ -4,6 +4,10 @@ Every check measures against an independent dense computation (full
 eigendecompositions, SVDs) rather than the iterative solver path, prints
 its measured value, and never raises on failure: a failed property is
 report content.
+
+The checks that need scipy.linalg import it when called, as the oracles in
+`direct` do, so importing this module (which `bsesolve.cli` does) does not
+load scipy.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import rng
 from .direct import cond_of_h, dense_general_eig, direct_solve_definite, rho_sh
@@ -91,6 +94,8 @@ def check_field_of_values(ham: BseHamiltonian) -> PropertyCheck:
 
 def check_cond_identity(ham: BseHamiltonian) -> PropertyCheck:
     """cond(SH) agrees with sigma_max(H)/sigma_min(H) to 1e-10 relative."""
+    import scipy.linalg as sla
+
     cond_sh = cond_of_h(ham)
     sv = sla.svdvals(materialize(ham))
     rel = abs(cond_sh - sv[0] / sv[-1]) / cond_sh
@@ -129,6 +134,8 @@ def check_biorthogonality(ham: BseHamiltonian) -> PropertyCheck:
 
 def check_qsq_spectrum_law(n: int, k: int, seed: int) -> PropertyCheck:
     """eig(Q*SQ) = 2 sigma_i(Q1)^2 - 1 and sigma_i(Q2)^2 = 1 - sigma_i(Q1)^2."""
+    import scipy.linalg as sla
+
     q = _random_orthonormal(n, k, seed)
     m = n // 2
     eig_m = np.sort(np.linalg.eigvalsh(_hermitize(q.conj().T @ apply_s(q))))
@@ -148,6 +155,8 @@ def _hermitize(a: np.ndarray) -> np.ndarray:
 
 def check_dual_basis(n: int, k: int, seed: int) -> PropertyCheck:
     """Biorthogonality of both explicit dual bases plus the norm identity."""
+    import scipy.linalg as sla
+
     q = _random_orthonormal(n, k, seed)
     worst_bi = 0.0
     for choice in ("full", "diagonal"):

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import bsesolve
 from bsesolve import GeneratorSpec, SolverConfig, generate
 from bsesolve import fileio
 from bsesolve.cli import cli
@@ -314,3 +319,62 @@ class TestBenchCommand:
             if parts[0] == "0":
                 flops[parts[1]] = float(parts[3])
         assert flops["filter"] >= 0.6 * flops["total"]
+
+
+_ONE_BLAS_SCRIPT = """
+import json, sys
+from pathlib import Path
+
+import bsesolve, bsesolve.cli
+from bsesolve import GeneratorSpec, SolverConfig, generate, solve
+from bsesolve.cli import cli
+
+work = Path(sys.argv[1])
+mm, pchb = str(work / "mm"), str(work / "pchb")
+a, b = str(work / "mm" / "A.mtx"), str(work / "mm" / "B.mtx")
+for args in (
+    ["generate", "--m", "8", "--seed", "3", "--format", "mm", "--out", mm],
+    ["generate", "--m", "8", "--seed", "3", "--format", "pchb", "--out", pchb],
+    ["solve", "--a", a, "--b", b, "--nev", "2", "--out", str(work / "solve")],
+    ["bench", "--pchb", str(work / "pchb" / "ham.pchb"), "--nev", "2", "--reps", "1",
+     "--out", str(work / "bench")],
+):
+    cli(args, standalone_mode=False)
+converged = solve(generate(GeneratorSpec(m=8, seed=3)), SolverConfig(nev=2)).converged
+before = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+cli(["oracle", "--a", a, "--b", b, "--out", str(work / "oracle")], standalone_mode=False)
+print(json.dumps({"converged": bool(converged), "scipy_before_oracle": before,
+                  "scipy_after_oracle": "scipy.linalg" in sys.modules}))
+"""
+
+
+class TestProcessLoadsOneBlas:
+    """`import bsesolve`, `generate`, `solve` and `bench` load numpy's OpenBLAS
+    alone; scipy (a second OpenBLAS, about 0.3 s and 25 MB to import) loads
+    only when an oracle runs.  Checked in a fresh interpreter, because the
+    test process itself has scipy loaded."""
+
+    def test_scipy_loads_only_for_the_oracle(self, tmp_path):
+        env = dict(os.environ)
+        src = str(Path(bsesolve.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _ONE_BLAS_SCRIPT, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert report["converged"]
+        assert report["scipy_before_oracle"] == []
+        assert report["scipy_after_oracle"]
+        rows = [
+            line.split(",")
+            for line in (tmp_path / "oracle" / "eigenvalues.csv").read_text().splitlines()
+            if line and not line.startswith(("#", "index"))
+        ]
+        lams = np.array([float(r[1]) for r in rows])
+        res = np.array([float(r[2]) for r in rows])
+        assert len(rows) == 16
+        assert res.max() <= 1e-10 * np.abs(lams).max()

@@ -315,7 +315,14 @@ def _forbid_scipy_linalg(monkeypatch) -> list[str]:
 
 class TestSolvePathUsesNumpyOnly:
     """numpy and scipy each bundle an OpenBLAS with its own thread pool; a
-    solve that crosses between them pays for both pools spinning."""
+    solve that crosses between them pays for both pools spinning.
+
+    The rule holds for the whole process too: no bsesolve module imports
+    scipy at module level, only the oracles and the `verify` checks import
+    it inside the function that calls it (see TestProcessLoadsOneBlas in
+    test_cli.py).  Such a function-level `import scipy.linalg` binds the
+    patched module, so the guard still catches a call made through it.
+    """
 
     @pytest.mark.parametrize(
         "overrides",
