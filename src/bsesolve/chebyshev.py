@@ -13,10 +13,15 @@ the real symmetric form the Hamiltonian caches and J = [[0, I], [-I, 0]]
 coefficients are real, so the whole recurrence runs on the n x 2k real
 block Y = [Re(y) | Im(y)] with y = Q* x / sqrt(2): the filter converts
 into it once at entry and back once at exit.  One product is one GEMM
-Z = R Y, formed as (Y^T R)^T, and i J Z is a fixed remap of Z's quadrants
-with two signs (new real part [-Z_im[m:]; Z_im[:m]], new imaginary part
-[Z_re[m:]; -Z_re[:m]]), which the elementwise update of the recurrence
-reads in place.
+Z = R Y, formed as Z^T = Y^T R^T into a C-order buffer, and i J Z is a
+fixed remap of Z's quadrants with two signs (new real part
+[-Z_im[m:]; Z_im[:m]], new imaginary part [Z_re[m:]; -Z_re[:m]]), which
+the elementwise update of the recurrence reads in place.  R is exactly
+symmetric, so R^T is R; for an F-order R, R^T is a C-order view, and
+numpy issues the NN sgemm, which OpenBLAS 0.3.31 runs 8-25 % faster than
+the NT one that Y^T R issues (one thread, n = 512 to 2048, k = 32 to
+64).  The two orientations round differently at small shapes, which the
+corrected filter must not depend on (see below).
 
 `FilterConfig.precision` picks the dtype of Y and of R.  In "float32" the
 GEMMs run as sgemm on a float32 copy of R (the caller's, or one cast for
@@ -32,7 +37,13 @@ with one extra per-column term,
 q_{j+1} = alpha_j [(H - c) q_j + p_j(lam') r'] - beta_j q_{j-1}, from
 q_0 = 0 and q_1 = sigma1/e (a scaling, no product), so it runs on the
 real block of r' in the working dtype while p(lam') v is added in
-float64: the rounding then scales with ||r'||, not with ||v||.
+float64: the rounding then scales with ||r'||, not with ||v||.  The
+rounding also scales with the largest components of q_j(H) r', and q is
+large where p is near 1: at the locked eigenvalues, which r' picks up
+through the locked vectors' own residuals.  The solver therefore deflates
+the locked components from the residual block before each corrected call
+(`solver.deflate_locked`); without that, the last target of an nex = 1
+solve could stall at about 2e-8, depending on which GEMM kernel ran.
 """
 
 from __future__ import annotations
@@ -137,7 +148,7 @@ def chebyshev_filter(
 
     def step(y, y_prev, alpha, beta):
         """y_prev <- alpha * (i J R y - c y) - beta * y_prev, in place."""
-        np.matmul(y.T, r, out=zt)
+        np.matmul(y.T, r.T, out=zt)
         z = zt.T
         z *= alpha
         y_prev *= -beta
@@ -167,7 +178,9 @@ def chebyshev_filter(
         alpha, beta = 2.0 * sigma_new / e, sigma * sigma_new
         y_prev, y = y, step(y, y_prev, alpha, beta)
         if ritz_values is not None:
-            np.multiply(source, np.tile(alpha * gain, 2).astype(dtype), out=scratch)
+            coef = (alpha * gain).astype(dtype)
+            np.multiply(source[:, :k], coef, out=scratch[:, :k])
+            np.multiply(source[:, k:], coef, out=scratch[:, k:])
             y += scratch
             gain_prev, gain = gain, alpha * (shift - c) * gain - beta * gain_prev
         sigma = sigma_new

@@ -58,16 +58,14 @@ class SearchSpace:
 
 def fix_column_phases(q: np.ndarray) -> np.ndarray:
     """Scale each column so its first significant entry is real positive."""
+    mags = np.abs(q)
+    top = mags.max(axis=0)
+    lead = np.argmax(mags >= 1e-8 * top, axis=0)
+    pivot = q[lead, np.arange(q.shape[1])]
+    nonzero = top > 0.0  # zero columns stay as they are
+    pivot[~nonzero] = 1.0  # and skip the 0 / 0
     out = q.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        mags = np.abs(col)
-        top = mags.max()
-        if top == 0.0:
-            continue
-        lead = np.nonzero(mags >= 1e-8 * top)[0][0]
-        pivot = col[lead]
-        out[:, j] = col * (np.conj(pivot) / np.abs(pivot))
+    np.multiply(q, np.conj(pivot) / np.abs(pivot), out=out, where=nonzero)
     return out
 
 

@@ -18,7 +18,18 @@ Ritz vectors v through their residuals r = H v - lam v (mixed-precision
 defect correction; Higham & Mary, Acta Numerica 31, 2022): the recurrence
 runs in float32 on r' = r + (lam - lam') v and p(lam') v is added in
 float64 (see `chebyshev`), so the float32 rounding scales with ||r'||, not
-with ||v||, and no float32 floor stops the residuals.  Orthonormalization,
+with ||v||.  Before each corrected call the locked eigen-components leave
+the residual block: r <- r - Y (Y* S Y)^{-1} (S Y)* r with Y the locked
+vectors (`deflate_locked`).  With exact locked eigenvectors r has none;
+the locked pairs' own residuals put some in, at about tol.  q is about
+1 / (t - lam') at a locked eigenvalue t, where p is near 1, but only
+about p(lam') / (t - lam') on the damped interval, so those components
+set the float32 rounding scale of the whole block: the last target of an
+nex = 1 solve stalled near 2e-8, or not, depending on which sgemm kernel
+rounded.  The deflation changes the filter's output by q(H) Y c =
+Y q(Lambda) c, a span(Y) term of the size of the locked residuals, and
+`ortho` projects the filtered block against S Y right after.  The sgemm
+runs in its faster NN orientation (see `chebyshev`).  Orthonormalization,
 both Rayleigh-Ritz variants, the residuals, locking and Lanczos always run
 in float64.
 
@@ -152,6 +163,25 @@ class SolveResult:
         return self.lambdas.shape[0]
 
 
+def deflate_locked(
+    block: np.ndarray, locked_y: np.ndarray, ledger: PhaseLedger | None = None
+) -> np.ndarray:
+    """block - Y (Y* S Y)^{-1} (S Y)* block, with Y the locked vectors.
+
+    The oblique projection along span(Y) onto the S-complement of Y (which
+    H leaves invariant when Y holds eigenvectors): it removes the locked
+    eigen-components of a residual block before the corrected filter (see
+    the module docstring).  Charged to the filter phase, 8 n l (l + 2 k)
+    FLOPs for l locked and k block columns.
+    """
+    sy_h = apply_s(locked_y).conj().T
+    coeff = np.linalg.solve(sy_h @ locked_y, sy_h @ block)
+    if ledger is not None:
+        n, l = locked_y.shape
+        ledger.add_flops("filter", 8.0 * n * l * (l + 2.0 * block.shape[1]))
+    return block - locked_y @ coeff
+
+
 def solve(ham: BseHamiltonian, cfg: SolverConfig) -> SolveResult:
     """Compute the cfg.nev smallest eigenpairs of a definite Hamiltonian."""
     cfg.validate(ham.n)
@@ -199,6 +229,8 @@ def solve(ham: BseHamiltonian, cfg: SolverConfig) -> SolveResult:
         with ledger.timing("filter"):
             if r32 is None:
                 r32 = cached_real_form(ham).astype(np.float32)
+            if vhat_residual is not None and locked_y.shape[1]:
+                vhat_residual = deflate_locked(vhat_residual, locked_y, ledger)
             vhat = chebyshev_filter(
                 ham, vhat, fcfg, ledger, vhat_values, vhat_residual, real_form=r32
             )

@@ -126,3 +126,18 @@ class TestSOrthonormalize:
         assert space.n == 12 and space.m == 6
         assert space.nevex == 5 and space.locked == 2
         assert space.active.shape == (12, 3)
+
+
+class TestFixColumnPhases:
+    def test_zero_column_and_small_leading_entries(self):
+        q = _rand(10, 3, 12)
+        q[:, 1] = 0.0
+        q[:4, 2] *= 1e-10  # below 1e-8 of the column's largest entry
+        out = fix_column_phases(q)
+        assert (out[:, 1] == 0.0).all()
+        np.testing.assert_allclose(np.abs(out), np.abs(q), rtol=1e-15)
+        for j, lead in ((0, 0), (2, 4)):
+            pivot = q[lead, j]
+            np.testing.assert_array_equal(out[:, j], q[:, j] * (np.conj(pivot) / abs(pivot)))
+            assert out[lead, j].real > 0
+            assert abs(out[lead, j].imag) <= 1e-15 * out[lead, j].real

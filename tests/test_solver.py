@@ -11,6 +11,7 @@ from bsesolve import (
     Definiteness,
     GeneratorSpec,
     IndefiniteError,
+    PhaseLedger,
     SolverConfig,
     ValidationError,
     apply_h,
@@ -30,6 +31,16 @@ from conftest import LAM2
 def _block_diag_2x2():
     """Two decoupled copies of the 2x2 reference case (n = 4)."""
     return BseHamiltonian(np.diag([2.0, 2.0]), np.diag([0.5, 0.5]))
+
+
+def _solve_and_check_oracle(ham, cfg):
+    """Solve, and check convergence and the eigenvalues against the oracle."""
+    res = solve(ham, cfg)
+    assert res.converged
+    assert (res.residual_norms <= cfg.tol).all()
+    lam = direct_solve_definite(ham).lambdas[: cfg.nev]
+    assert np.abs(res.lambdas - lam).max() <= 1e-13 * np.abs(lam).max()
+    return res
 
 
 class TestSolve:
@@ -170,6 +181,31 @@ class TestSolve:
                         if not res.converged:
                             failed.append((m, coupling, seed, nex))
         assert failed == []
+
+    @pytest.mark.parametrize("m, nev", [(32, 4), (128, 8)])
+    def test_nex_1_last_target_converges(self, m, nev):
+        # the one extra column settles on lambda_{nev+1}, the cutoff sits on
+        # its Ritz value, and the last target stalled at 1.5e-7 (m = 32) and
+        # 2.6e-8 (m = 128) while the locked components of the residual block
+        # set the float32 rounding scale of the corrected filter
+        res = _solve_and_check_oracle(
+            generate(GeneratorSpec(m=m, seed=1)), SolverConfig(nev=nev, nex=1, seed=1)
+        )
+        assert res.iterations_used <= 12
+
+    @pytest.mark.parametrize("nex", [12, 14, 16])
+    def test_many_targets_keep_full_rank(self, nex):
+        # these raised RankDeficiencyError in the Householder fallback
+        _solve_and_check_oracle(
+            generate(GeneratorSpec(m=32, seed=1)), SolverConfig(nev=16, nex=nex)
+        )
+
+    def test_degenerate_cluster(self):
+        # B = 0 and an 8-fold eigenvalue of A: H has the 8-fold pair +-8 next
+        # to zero, in the filter's damped interval, as wide as nevex
+        a = np.diag(np.concatenate([np.full(8, 8.0), np.linspace(9.0, 40.0, 24)]))
+        ham = BseHamiltonian(a.astype(np.complex128), np.zeros((32, 32), np.complex128))
+        _solve_and_check_oracle(ham, SolverConfig(nev=4, nex=4))
 
     def test_locked_residuals_below_tolerance(self):
         ham = generate(GeneratorSpec(m=48, seed=13))
@@ -432,6 +468,24 @@ class TestFilterPrecision:
         big = [v for v in vars(ham).values() if isinstance(v, np.ndarray) and v.size >= ham.n**2]
         assert len(big) == 1 and big[0] is ham._r and ham._r.dtype == np.float64
 
+    @pytest.mark.parametrize("coupling", [0.5, 0.999])
+    def test_converges_in_either_gemm_orientation(self, monkeypatch, coupling):
+        # a C-order R turns the filter's NN sgemm into the NT one, which
+        # rounds differently; before the locked components were deflated
+        # from the residual block, the C-order solves stalled at 2.9e-8 and
+        # 2.1e-8 and ran to maxiter
+        filt = solver.chebyshev_filter
+        ham = generate(GeneratorSpec(m=32, seed=2, coupling_ratio=coupling))
+        for order in ("F", "C"):
+
+            def ordered_filter(*args, real_form=None):
+                return filt(*args, real_form=np.asarray(real_form, order=order))
+
+            monkeypatch.setattr(solver, "chebyshev_filter", ordered_filter)
+            res = solve(ham, SolverConfig(nev=4, nex=1))
+            assert res.converged, order
+            assert res.iterations_used <= 8, order
+
     def test_cutoff_after_float32_skips_values_at_the_floor(self):
         # after the float32 iteration 1 the Ritz values are [-141.7, -41.7]:
         # the first is spurious (below mu_1), the second the target, at the
@@ -457,6 +511,21 @@ class TestFilterPrecision:
         assert abs(mixed.iterations_used - ref.iterations_used) <= 1
         scale = np.abs(ref.lambdas).max()
         assert np.abs(mixed.lambdas - ref.lambdas).max() <= 1e-13 * scale
+
+
+class TestDeflateLocked:
+    def test_removes_the_locked_components_only(self):
+        ham = generate(GeneratorSpec(m=16, seed=3))
+        eig = direct_solve_definite(ham)
+        g = np.random.default_rng(3)
+        locked = eig.v[:, :3]
+        rest = eig.v[:, 3:9] @ (g.standard_normal((6, 5)) + 1j * g.standard_normal((6, 5)))
+        block = rest + locked @ (g.standard_normal((3, 5)) + 1j * g.standard_normal((3, 5)))
+        ledger = PhaseLedger()
+        out = solver.deflate_locked(block, locked, ledger)
+        assert np.abs(out - rest).max() <= 1e-12 * np.abs(rest).max()
+        assert np.abs(apply_s(locked).conj().T @ out).max() <= 1e-12
+        assert ledger.flops == {"filter": 8.0 * 32 * 3 * (3 + 2 * 5)}
 
 
 class TestHermitianParity:
