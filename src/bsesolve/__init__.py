@@ -19,7 +19,6 @@ from .hamiltonian import (
     BseHamiltonian,
     Definiteness,
     apply_h,
-    apply_h_via_adjoint,
     apply_j,
     apply_k,
     apply_s,
@@ -39,7 +38,7 @@ from .direct import (
 )
 from .lanczos import SpectralBounds, estimate_bounds, update_cutoff
 from .chebyshev import FilterConfig, chebyshev_filter, scalar_filter_value
-from .ortho import SearchSpace, cholqr_with_fallback, s_orthonormalize
+from .ortho import cholqr_with_fallback, s_orthonormalize
 from .rayleigh_ritz import (
     ConvergenceDiagnostics,
     ReducedProblem,
@@ -79,14 +78,12 @@ __all__ = [
     "RankDeficiencyError",
     "ReducedProblem",
     "RitzSet",
-    "SearchSpace",
     "SolveResult",
     "SolverConfig",
     "SpectralBounds",
     "TraceRecord",
     "ValidationError",
     "apply_h",
-    "apply_h_via_adjoint",
     "apply_j",
     "apply_k",
     "apply_s",

@@ -42,7 +42,7 @@ rounding also scales with the largest components of q_j(H) r', and q is
 large where p is near 1: at the locked eigenvalues, which r' picks up
 through the locked vectors' own residuals.  The solver therefore deflates
 the locked components from the residual block before each corrected call
-(`solver.deflate_locked`); without that, the last target of an nex = 1
+(`ortho.deflate_locked`); without that, the last target of an nex = 1
 solve could stall at about 2e-8, depending on which GEMM kernel ran.
 """
 

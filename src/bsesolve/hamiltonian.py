@@ -208,12 +208,6 @@ def apply_h(
     return out.reshape(x.shape)
 
 
-#: The communication-avoiding form S (H* (S x)) with H* y = (S H)(S y) runs
-#: on the same real-form primitive and gives the same bits (S S x is x
-#: exactly), so it is apply_h under its old name.
-apply_h_via_adjoint = apply_h
-
-
 def materialize(ham: BseHamiltonian) -> np.ndarray:
     """Dense n x n H, for oracles and structural checks only."""
     return np.asfortranarray(

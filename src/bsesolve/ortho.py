@@ -1,9 +1,14 @@
-"""Orthonormalization of the filtered search space.
+"""Projection against the locked vectors and orthonormalization of the
+filtered search space.
 
-Converged (locked) eigenvectors are bi-orthogonal to the remaining
-eigenvectors through S, not orthogonal: the active space is therefore
-projected against the sign-flipped locked vectors before its QR, and the
-locked columns themselves are kept frozen exactly as they converged.
+Converged (locked) eigenvectors Y are bi-orthogonal to the remaining
+eigenvectors through S, not orthogonal.  `deflate_locked` is the one
+projection against them: x - Y (Y* S Y)^{-1} (S Y)* x, the oblique
+projection along span(Y) onto the S-complement of Y.  When Y holds
+eigenvectors it removes exactly their eigen-components and leaves every
+other component alone.  The solver calls it on the residual block before
+each corrected filter call, and `s_orthonormalize` on the filtered block
+before its QR; the locked vectors themselves stay frozen as they converged.
 
 Column orthonormalization runs CholeskyQR twice and falls back to
 Householder QR when the Gram factorization fails or the orthogonality
@@ -11,8 +16,6 @@ check exceeds the fallback threshold.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,35 +28,6 @@ FALLBACK_TOL = 1e-8
 
 #: Householder-path rank test: min |diag R| / max |diag R|.
 RANK_TOL = 1e-10
-
-
-@dataclass
-class SearchSpace:
-    """Locked followed by active columns; only the active block is orthonormal
-    as a set (locked vectors are frozen converged Ritz vectors)."""
-
-    q: np.ndarray
-    locked: int
-
-    @property
-    def n(self) -> int:
-        return self.q.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.q.shape[0] // 2
-
-    @property
-    def nevex(self) -> int:
-        return self.q.shape[1]
-
-    @property
-    def active(self) -> np.ndarray:
-        return self.q[:, self.locked:]
-
-    @property
-    def locked_cols(self) -> np.ndarray:
-        return self.q[:, : self.locked]
 
 
 def fix_column_phases(q: np.ndarray) -> np.ndarray:
@@ -116,30 +90,36 @@ def cholqr_with_fallback(
     return fix_column_phases(q), method
 
 
+def deflate_locked(
+    block: np.ndarray,
+    locked_y: np.ndarray,
+    ledger: PhaseLedger | None = None,
+    phase: str = "filter",
+) -> np.ndarray:
+    """block - Y (Y* S Y)^{-1} (S Y)* block, with Y the locked vectors.
+
+    The result is orthogonal to S Y.  Charged to `phase`, 8 n l (l + 2 k)
+    FLOPs for l locked and k block columns.
+    """
+    sy_h = apply_s(locked_y).conj().T
+    coeff = np.linalg.solve(sy_h @ locked_y, sy_h @ block)
+    if ledger is not None:
+        n, l = locked_y.shape
+        ledger.add_flops(phase, 8.0 * n * l * (l + 2.0 * block.shape[1]))
+    return block - locked_y @ coeff
+
+
 def s_orthonormalize(
     vhat,
     locked_y=None,
     ledger: PhaseLedger | None = None,
-) -> tuple[SearchSpace, str]:
-    """Orthonormalize vhat against S times the locked vectors, then itself.
+) -> tuple[np.ndarray, str]:
+    """Deflate the locked vectors Y from vhat, then orthonormalize its columns.
 
-    The projection against span(S Y) happens once per call; the locked
-    block of the returned SearchSpace is Y itself, unflipped.  Returns the
-    space and the QR method that ran.
+    Returns the orthonormal active block, orthogonal to S Y, and the QR
+    method that ran.
     """
     v = np.asarray(vhat, dtype=np.complex128)
-    if locked_y is None:
-        locked_y = np.zeros((v.shape[0], 0), dtype=np.complex128)
-    locked_y = np.asarray(locked_y, dtype=np.complex128)
-
-    if locked_y.shape[1]:
-        flipped = apply_s(locked_y)
-        basis, _ = np.linalg.qr(flipped)
-        v = v - basis @ (basis.conj().T @ v)
-        if ledger is not None:
-            ledger.add_flops(
-                "ortho", 16.0 * v.shape[0] * basis.shape[1] * v.shape[1]
-            )
-    q_active, method = cholqr_with_fallback(v, ledger)
-    q = np.concatenate([locked_y, q_active], axis=1)
-    return SearchSpace(q=q, locked=locked_y.shape[1]), method
+    if locked_y is not None and locked_y.shape[1]:
+        v = deflate_locked(v, locked_y, ledger, "ortho")
+    return cholqr_with_fallback(v, ledger)

@@ -1,14 +1,15 @@
 """Outer subspace iteration: filter, orthonormalize, project, lock.
 
 One solve owns all of its mutable state and is deterministic per seed.
-Each iteration filters only the non-locked columns, orthonormalizes them
-against the sign-flipped locked vectors, extracts Ritz pairs with the
-hermitian-equivalent projection (falling back to the non-hermitian one on
-its rare failures), locks the converged smallest pairs and moves the
-filter cutoff with `lanczos.update_cutoff`, the one cutoff rule: drop the
-active Ritz values below mu_1 (spurious values) and then the smallest ones
-still to lock, and take the largest of the rest whose residual is above
-the locking threshold, clamped to 0, or 0 when no value is left.
+Each iteration filters only the non-locked columns, deflates the locked
+vectors from them and orthonormalizes them (`ortho`), extracts Ritz pairs
+with the hermitian-equivalent projection (falling back to the
+non-hermitian one on its rare failures), locks the converged smallest
+pairs and moves the filter cutoff with `lanczos.update_cutoff`, the one
+cutoff rule: drop the active Ritz values below mu_1 (spurious values) and
+then the smallest ones still to lock, and take the largest of the rest
+whose residual is above the locking threshold, clamped to 0, or 0 when no
+value is left.
 
 The Chebyshev filter, most of a solve's time, runs in float32 on every
 iteration, on a float32 copy of R cast once per solve: sgemm runs up to
@@ -20,18 +21,18 @@ runs in float32 on r' = r + (lam - lam') v and p(lam') v is added in
 float64 (see `chebyshev`), so the float32 rounding scales with ||r'||, not
 with ||v||.  Before each corrected call the locked eigen-components leave
 the residual block: r <- r - Y (Y* S Y)^{-1} (S Y)* r with Y the locked
-vectors (`deflate_locked`).  With exact locked eigenvectors r has none;
-the locked pairs' own residuals put some in, at about tol.  q is about
-1 / (t - lam') at a locked eigenvalue t, where p is near 1, but only
-about p(lam') / (t - lam') on the damped interval, so those components
-set the float32 rounding scale of the whole block: the last target of an
+vectors (`ortho.deflate_locked`).  With exact locked eigenvectors r has
+none; the locked pairs' own residuals put some in, at about tol.  q is
+about 1 / (t - lam') at a locked eigenvalue t, where p is near 1, but only
+about p(lam') / (t - lam') on the damped interval, so those components set
+the float32 rounding scale of the whole block: the last target of an
 nex = 1 solve stalled near 2e-8, or not, depending on which sgemm kernel
 rounded.  The deflation changes the filter's output by q(H) Y c =
-Y q(Lambda) c, a span(Y) term of the size of the locked residuals, and
-`ortho` projects the filtered block against S Y right after.  The sgemm
-runs in its faster NN orientation (see `chebyshev`).  Orthonormalization,
-both Rayleigh-Ritz variants, the residuals, locking and Lanczos always run
-in float64.
+Y q(Lambda) c, a span(Y) term of the size of the locked residuals, which
+the same projection removes from the filtered block in `s_orthonormalize`.
+The sgemm runs in its faster NN orientation (see `chebyshev`).
+Orthonormalization, both Rayleigh-Ritz variants, the residuals, locking
+and Lanczos always run in float64.
 
 Every dense linear-algebra call on the solve path, the definiteness check
 included, goes through numpy.linalg.  numpy and scipy each bundle their
@@ -64,7 +65,7 @@ from .hamiltonian import (
 )
 from .lanczos import SpectralBounds, estimate_bounds, update_cutoff
 from .metrics import PhaseLedger
-from .ortho import s_orthonormalize
+from .ortho import deflate_locked, s_orthonormalize
 from .rayleigh_ritz import (
     HermitianRqError,
     build_backup_rq,
@@ -163,25 +164,6 @@ class SolveResult:
         return self.lambdas.shape[0]
 
 
-def deflate_locked(
-    block: np.ndarray, locked_y: np.ndarray, ledger: PhaseLedger | None = None
-) -> np.ndarray:
-    """block - Y (Y* S Y)^{-1} (S Y)* block, with Y the locked vectors.
-
-    The oblique projection along span(Y) onto the S-complement of Y (which
-    H leaves invariant when Y holds eigenvectors): it removes the locked
-    eigen-components of a residual block before the corrected filter (see
-    the module docstring).  Charged to the filter phase, 8 n l (l + 2 k)
-    FLOPs for l locked and k block columns.
-    """
-    sy_h = apply_s(locked_y).conj().T
-    coeff = np.linalg.solve(sy_h @ locked_y, sy_h @ block)
-    if ledger is not None:
-        n, l = locked_y.shape
-        ledger.add_flops("filter", 8.0 * n * l * (l + 2.0 * block.shape[1]))
-    return block - locked_y @ coeff
-
-
 def solve(ham: BseHamiltonian, cfg: SolverConfig) -> SolveResult:
     """Compute the cfg.nev smallest eigenpairs of a definite Hamiltonian."""
     cfg.validate(ham.n)
@@ -230,21 +212,21 @@ def solve(ham: BseHamiltonian, cfg: SolverConfig) -> SolveResult:
             if r32 is None:
                 r32 = cached_real_form(ham).astype(np.float32)
             if vhat_residual is not None and locked_y.shape[1]:
-                vhat_residual = deflate_locked(vhat_residual, locked_y, ledger)
+                vhat_residual = deflate_locked(vhat_residual, locked_y, ledger, "filter")
             vhat = chebyshev_filter(
                 ham, vhat, fcfg, ledger, vhat_values, vhat_residual, real_form=r32
             )
         with ledger.timing("ortho"):
-            space, _ = s_orthonormalize(vhat, locked_y, ledger)
+            q, _ = s_orthonormalize(vhat, locked_y, ledger)
 
         variant = "hermitian"
         with ledger.timing("rr"):
             if cfg.rr_variant == "backup":
                 variant = "backup"
-                ritz, reduced = build_backup_rq(ham, space.active, ledger)
+                ritz, reduced = build_backup_rq(ham, q, ledger)
             else:
                 try:
-                    ritz, reduced = build_hermitian_rq(ham, space.active, ledger)
+                    ritz, reduced = build_hermitian_rq(ham, q, ledger)
                 except HermitianRqError as exc:
                     if cfg.rr_variant == "hermitian":
                         raise NumericalError(
@@ -256,7 +238,7 @@ def solve(ham: BseHamiltonian, cfg: SolverConfig) -> SolveResult:
                     )
                     variant = "backup"
                     backup_events += 1
-                    ritz, reduced = build_backup_rq(ham, space.active, ledger)
+                    ritz, reduced = build_backup_rq(ham, q, ledger)
 
         with ledger.timing("residuals"):
             res = residuals(ham, ritz, ledger)

@@ -10,7 +10,6 @@ from bsesolve import (
     GeneratorSpec,
     ValidationError,
     apply_h,
-    apply_h_via_adjoint,
     apply_j,
     apply_k,
     apply_s,
@@ -128,30 +127,8 @@ class TestApplyH:
         # one real n x n times n x 2k GEMM
         assert ledger.flops["filter"] == 4.0 * 16 * 16 * 3
 
-
-class TestAdjointKernel:
-    def test_matches_plain_kernel_on_random_instances(self):
-        for seed in range(100):
-            m = 1 + seed % 32
-            ham = generate(GeneratorSpec(m=m, seed=seed))
-            x = _rand(2 * m, 3, seed)
-            a = apply_h(ham, x)
-            b = apply_h_via_adjoint(ham, x)
-            scale = np.abs(a).max() + 1.0
-            assert np.abs(a - b).max() <= 1e-13 * scale
-
-    def test_is_the_plain_kernel(self):
-        # S (H* (S x)) on the real-form primitive is bitwise H x, so the
-        # adjoint form is apply_h itself, not a second copy of the work
-        assert apply_h_via_adjoint is apply_h
-
-    def test_first_column_2x2(self, ham2):
-        np.testing.assert_allclose(
-            apply_h_via_adjoint(ham2, np.array([1.0, 0.0])), [2.0, -0.5]
-        )
-
     def test_zero_input(self, ham_small):
-        out = apply_h_via_adjoint(ham_small, np.zeros((16, 2)))
+        out = apply_h(ham_small, np.zeros((16, 2)))
         assert np.abs(out).max() == 0.0
 
 

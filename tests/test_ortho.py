@@ -4,6 +4,7 @@ import scipy.linalg as sla
 
 from bsesolve import (
     GeneratorSpec,
+    PhaseLedger,
     RankDeficiencyError,
     apply_s,
     cholqr_with_fallback,
@@ -73,9 +74,7 @@ class TestCholQr:
 
 class TestSOrthonormalize:
     def test_no_locked_is_plain_qr(self):
-        space, method = s_orthonormalize(_rand(24, 5, 0))
-        assert space.locked == 0
-        q = space.active
+        q, method = s_orthonormalize(_rand(24, 5, 0))
         assert np.abs(q.conj().T @ q - np.eye(5)).max() <= 1e-12
         assert method == "cholqr"
 
@@ -87,45 +86,58 @@ class TestSOrthonormalize:
         locked = eig.v[:, :1]
         vhat = _rand(4, 2, 2)
         vhat[:, :1] += 10.0 * apply_s(locked)
-        space, _ = s_orthonormalize(vhat, locked)
-        overlap = np.abs(apply_s(locked).conj().T @ space.active).max()
-        assert overlap <= 1e-10
-        np.testing.assert_array_equal(space.locked_cols, locked)
+        q, _ = s_orthonormalize(vhat, locked)
+        assert q.shape == (4, 2)
+        assert np.abs(apply_s(locked).conj().T @ q).max() <= 1e-10
+
+    def test_locked_eigencomponents_leave_and_the_rest_stays(self):
+        # Y holds exact eigenvectors and the block is rest + Y C with rest
+        # in the span of the other eigenvectors: the returned block must
+        # span span(rest), which an orthogonal projection against S Y
+        # does not give
+        m, nlock, k = 12, 3, 5
+        ham = generate(GeneratorSpec(m=m, seed=4))
+        eig = direct_solve_definite(ham)
+        target = np.arange(m, m + nlock)  # the smallest positive eigenvalues
+        locked = eig.v[:, target]
+        rest = np.delete(eig.v, target, axis=1) @ _rand(2 * m - nlock, k, 5)
+        block = rest + 10.0 * locked @ _rand(nlock, k, 6)
+        ledger = PhaseLedger()
+        q, method = s_orthonormalize(block, locked, ledger)
+        basis, _ = np.linalg.qr(rest)
+        assert q.shape == (2 * m, k) and method == "cholqr"
+        assert np.abs(q - basis @ (basis.conj().T @ q)).max() <= 1e-12
+        n = 2 * m
+        assert ledger.flops == {
+            "ortho": 8.0 * n * nlock * (nlock + 2 * k) + 2 * 12.0 * n * k * k
+        }
 
     def test_invariant_on_random_instances(self):
         for seed in range(20):
             n, k, nlock = 30, 4, 3
             locked = _rand(n, nlock, seed)
             locked /= np.linalg.norm(locked, axis=0)
-            space, _ = s_orthonormalize(_rand(n, k, seed + 100), locked)
-            q = space.active
+            q, _ = s_orthonormalize(_rand(n, k, seed + 100), locked)
             assert np.abs(q.conj().T @ q - np.eye(k)).max() <= 1e-10
             assert np.abs(apply_s(locked).conj().T @ q).max() <= 1e-10
 
     def test_idempotent_up_to_phase(self):
         locked = _rand(40, 2, 3)
         locked /= np.linalg.norm(locked, axis=0)
-        space1, _ = s_orthonormalize(_rand(40, 5, 4), locked)
-        space2, _ = s_orthonormalize(space1.active, locked)
-        assert np.abs(space2.active - space1.active).max() <= 1e-12
+        q1, _ = s_orthonormalize(_rand(40, 5, 4), locked)
+        q2, _ = s_orthonormalize(q1, locked)
+        assert np.abs(q2 - q1).max() <= 1e-12
 
     def test_aligned_input_unchanged_up_to_phase(self):
         q0, _ = np.linalg.qr(_rand(20, 4, 5))
-        space, _ = s_orthonormalize(fix_column_phases(q0))
-        assert np.abs(space.active - fix_column_phases(q0)).max() <= 1e-12
+        q, _ = s_orthonormalize(fix_column_phases(q0))
+        assert np.abs(q - fix_column_phases(q0)).max() <= 1e-12
 
     def test_half_singular_value_complement_law(self):
-        space, _ = s_orthonormalize(_rand(40, 6, 9))
-        q = space.active
+        q, _ = s_orthonormalize(_rand(40, 6, 9))
         s1 = np.sort(sla.svdvals(q[:20]))
         s2 = np.sort(sla.svdvals(q[20:]))[::-1]
         assert np.abs(s2**2 - (1 - s1**2)).max() <= 1e-10
-
-    def test_search_space_views(self):
-        space, _ = s_orthonormalize(_rand(12, 3, 10), _rand(12, 2, 11))
-        assert space.n == 12 and space.m == 6
-        assert space.nevex == 5 and space.locked == 2
-        assert space.active.shape == (12, 3)
 
 
 class TestFixColumnPhases:

@@ -1,11 +1,12 @@
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from bsesolve import hamiltonian, solver
+from bsesolve import hamiltonian, ortho, solver
 from bsesolve import (
     BseHamiltonian,
     Definiteness,
@@ -522,7 +523,7 @@ class TestDeflateLocked:
         rest = eig.v[:, 3:9] @ (g.standard_normal((6, 5)) + 1j * g.standard_normal((6, 5)))
         block = rest + locked @ (g.standard_normal((3, 5)) + 1j * g.standard_normal((3, 5)))
         ledger = PhaseLedger()
-        out = solver.deflate_locked(block, locked, ledger)
+        out = ortho.deflate_locked(block, locked, ledger, "filter")
         assert np.abs(out - rest).max() <= 1e-12 * np.abs(rest).max()
         assert np.abs(apply_s(locked).conj().T @ out).max() <= 1e-12
         assert ledger.flops == {"filter": 8.0 * 32 * 3 * (3 + 2 * 5)}
@@ -642,3 +643,37 @@ class TestMirrorLargest:
         np.testing.assert_array_equal(
             np.sort(largest.residual_norms), np.sort(res.residual_norms)
         )
+
+
+class TestBenchmarkTracerSeam:
+    """perfbench/tracing.py wraps names that solver.solve looks up at call
+    time and reads s_orthonormalize's (q, method) tuple; a solve under its
+    spans must record a call in every library span it requires."""
+
+    def test_spans_record_every_required_library_call(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import tracing
+
+        for name in (
+            "is_definite",
+            "estimate_bounds",
+            "chebyshev_filter",
+            "s_orthonormalize",
+            "build_hermitian_rq",
+            "build_backup_rq",
+            "residuals",
+        ):
+            monkeypatch.setattr(solver, name, getattr(solver, name))  # undone after the test
+        tracer = tracing.Tracer(prefix="t")
+        tracing.install_solver_spans(tracer)
+        res = solve(generate(GeneratorSpec(m=64, seed=2)), SolverConfig(nev=4, seed=2))
+        assert res.converged and res.iterations_used > 1
+
+        # the worker records these three around the solve itself
+        own = {"generate.generate", "hamiltonian.construct", "solver.solve"}
+        seen = {span["name"] for span in tracer.spans}
+        assert [name for name in tracing.REQUIRED if name not in own | seen] == []
+        assert seen & set(tracing.PROJECT)
+        ortho_spans = [s for s in tracer.spans if s["name"] == "ortho.s_orthonormalize"]
+        assert len(ortho_spans) == res.iterations_used
+        assert all(span["cholqr"] == 1 for span in ortho_spans)
