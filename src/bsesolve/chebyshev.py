@@ -23,10 +23,11 @@ the NT one that Y^T R issues (one thread, n = 512 to 2048, k = 32 to
 64).  The two orientations round differently at small shapes, which the
 corrected filter must not depend on (see below).
 
-`FilterConfig.precision` picks the dtype of Y and of R.  In "float32" the
-GEMMs run as sgemm on a float32 copy of R (the caller's, or one cast for
-the length of the call).  The plain filter's float32 output is accurate
-to a small multiple of float32's unit roundoff relative to ||x||.
+The recurrence runs in the dtype of the R it is handed: the solver passes
+a float32 copy of R, cast once per solve, so the GEMMs run as sgemm;
+without one it runs in float64 on the Hamiltonian's R.  The plain
+filter's float32 output is accurate to a small multiple of float32's unit
+roundoff relative to ||x||.
 
 The corrected filter removes that floor on Ritz pairs (mixed-precision
 defect correction; Higham & Mary, Acta Numerica 31, 2022).  For a Ritz
@@ -57,10 +58,6 @@ from .hamiltonian import BseHamiltonian, cached_real_form, from_real_block, to_r
 from .lanczos import SpectralBounds
 from .metrics import PhaseLedger
 
-#: Working dtype of the recurrence per FilterConfig.precision.
-PRECISIONS = {"float32": np.float32, "float64": np.float64}
-
-
 @dataclass(frozen=True)
 class FilterConfig:
     """Filter interval data: center c, half width e, scale anchor s."""
@@ -69,28 +66,20 @@ class FilterConfig:
     center: float
     half_width: float
     scale_ref: float
-    precision: str = "float64"
 
     def __post_init__(self) -> None:
         if self.degree < 1:
             raise ValidationError(f"filter degree must be >= 1, got {self.degree}")
         if not self.half_width > 0:
             raise ValidationError(f"filter half width must be positive, got {self.half_width}")
-        if self.precision not in PRECISIONS:
-            raise ValidationError(
-                f"filter precision must be float32 or float64, got {self.precision!r}"
-            )
 
     @classmethod
-    def from_bounds(
-        cls, bounds: SpectralBounds, degree: int, precision: str = "float64"
-    ) -> "FilterConfig":
+    def from_bounds(cls, bounds: SpectralBounds, degree: int) -> "FilterConfig":
         return cls(
             degree=degree,
             center=(bounds.mu_n + bounds.mu_nevex) / 2.0,
             half_width=(bounds.mu_n - bounds.mu_nevex) / 2.0,
             scale_ref=bounds.mu_1,
-            precision=precision,
         )
 
 
@@ -126,18 +115,16 @@ def chebyshev_filter(
     Corrected, when the columns of vhat are Ritz vectors v with Ritz values
     ritz_values and residuals residual = H v - lam v: the recurrence runs on
     r' = residual + (lam - lam') v and the output is p(lam') v + q(H) r',
-    degree - 1 GEMMs.  real_form is R in the working dtype of cfg (cast
-    from the Hamiltonian's R for this call when missing or of another
-    dtype).
+    degree - 1 GEMMs.  The recurrence runs in real_form.dtype, real_form
+    being R or a copy of it; without one it runs in float64 on the
+    Hamiltonian's R.
     """
     x = np.asarray(vhat, dtype=np.complex128)
     if x.shape[0] != ham.n:
         raise ValidationError(f"operand has {x.shape[0]} rows, expected {ham.n}")
     cols = x if x.ndim == 2 else x[:, None]
-    dtype = PRECISIONS[cfg.precision]
-    r = real_form
-    if r is None or r.dtype != dtype:
-        r = cached_real_form(ham).astype(dtype, copy=False)
+    r = cached_real_form(ham) if real_form is None else real_form
+    dtype = r.dtype
     m, k = ham.m, cols.shape[1]
     c, e = cfg.center, cfg.half_width
     sigma1 = e / (cfg.scale_ref - c)

@@ -138,22 +138,13 @@ def _solver_options(fn):
     fn = click.option("--tol", type=float, default=1e-8, show_default=True)(fn)
     fn = click.option("--maxiter", type=int, default=25, show_default=True)(fn)
     fn = click.option(
-        "--rr", type=click.Choice(["auto", "hermitian", "backup"]), default="auto",
-        show_default=True,
+        "--rr", "rr_variant", type=click.Choice(["auto", "hermitian", "backup"]),
+        default="auto", show_default=True,
     )(fn)
     fn = click.option("--seed", type=int, default=0, show_default=True)(fn)
     fn = click.option("--lanczos-steps", type=int, default=24, show_default=True)(fn)
     fn = click.option("--rel-res", is_flag=True, help="Residual test relative to |mu_1|.")(fn)
-    fn = click.option("--reproducible/--no-reproducible", default=True, show_default=True)(fn)
     return fn
-
-
-def _make_config(nev, nex, deg, tol, maxiter, rr, seed, lanczos_steps, rel_res, reproducible):
-    return SolverConfig(
-        nev=nev, nex=nex, deg=deg, tol=tol, maxiter=maxiter, rr_variant=rr,
-        seed=seed, lanczos_steps=lanczos_steps, rel_res=rel_res,
-        reproducible=reproducible,
-    )
 
 
 @cli.command("solve")
@@ -162,12 +153,10 @@ def _make_config(nev, nex, deg, tol, maxiter, rr, seed, lanczos_steps, rel_res, 
 @click.option("--largest", is_flag=True, help="Report the nev largest eigenpairs instead.")
 @click.option("--out", type=click.Path(), default=".", show_default=True)
 @handle_errors
-def solve_cmd(a_path, b_path, pchb_path, nev, nex, deg, tol, maxiter, rr, seed,
-              lanczos_steps, rel_res, reproducible, largest, out):
+def solve_cmd(a_path, b_path, pchb_path, largest, out, **solver_options):
     """Iteratively compute the nev smallest eigenpairs."""
     ham, inputs = _load_hamiltonian(a_path, b_path, pchb_path)
-    cfg = _make_config(nev, nex, deg, tol, maxiter, rr, seed, lanczos_steps,
-                       rel_res, reproducible)
+    cfg = SolverConfig(**solver_options)
     result = solve(ham, cfg)
     report = mirror_largest(result) if largest else result
     out_dir = Path(out)
@@ -185,7 +174,7 @@ def solve_cmd(a_path, b_path, pchb_path, nev, nex, deg, tol, maxiter, rr, seed,
         config={**asdict(cfg), "largest": largest},
         inputs=inputs,
         outputs=["eigenvalues.csv", "eigenvectors.bin", "trace.csv"],
-        seed=seed,
+        seed=cfg.seed,
     )
     status = "converged" if result.converged else "NOT converged"
     click.echo(
@@ -287,12 +276,10 @@ def verify_cmd(m, seed, coupling_ratio, alpha, mode, a_path, b_path):
 @click.option("--reps", type=int, default=5, show_default=True)
 @click.option("--out", type=click.Path(), default=".", show_default=True)
 @handle_errors
-def bench_cmd(a_path, b_path, pchb_path, nev, nex, deg, tol, maxiter, rr, seed,
-              lanczos_steps, rel_res, reproducible, reps, out):
+def bench_cmd(a_path, b_path, pchb_path, reps, out, **solver_options):
     """Repeat a solve and report per-phase times, modeled FLOPs and FLOP/s."""
     ham, inputs = _load_hamiltonian(a_path, b_path, pchb_path)
-    cfg = _make_config(nev, nex, deg, tol, maxiter, rr, seed, lanczos_steps,
-                       rel_res, reproducible)
+    cfg = SolverConfig(**solver_options)
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
     runs = []
@@ -337,7 +324,7 @@ def bench_cmd(a_path, b_path, pchb_path, nev, nex, deg, tol, maxiter, rr, seed,
         config={**asdict(cfg), "reps": reps},
         inputs=inputs,
         outputs=["bench.csv"],
-        seed=seed,
+        seed=cfg.seed,
     )
     for phase, secs, flops in summary:
         click.echo(

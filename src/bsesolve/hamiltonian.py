@@ -80,12 +80,13 @@ class BseHamiltonian:
     the block scale are repaired on construction.  The full matrix is only
     materialized on explicit request.  The real symmetric form R that the
     H-products run on is built on first use and kept (read-only) until the
-    Hamiltonian is dropped.
+    Hamiltonian is dropped.  definiteness is not a constructor argument:
+    only the certificate of `is_definite` sets it.
     """
 
     a: np.ndarray
     b: np.ndarray
-    definiteness: Definiteness = field(default=Definiteness.UNKNOWN)
+    definiteness: Definiteness = field(default=Definiteness.UNKNOWN, init=False)
     _r: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -179,29 +180,23 @@ def from_real_block(y: np.ndarray) -> np.ndarray:
     return x
 
 
-def _apply_sh(ham: BseHamiltonian, x: np.ndarray) -> np.ndarray:
-    """(S H) x = Q R Q* x with one real GEMM against the cached R.
-
-    R Y for Y = to_real_block(x) is formed as (Y^T R)^T, the faster GEMM
-    orientation on OpenBLAS, which is R Y because R = R^T exactly; the
-    two 1/sqrt(2) factors of Q and Q* are the 1/2 of to_real_block.  x is
-    a 2-D complex128 array with n rows.
-    """
-    y = to_real_block(x)
-    return from_real_block((y.T @ cached_real_form(ham)).T)
-
-
 def apply_h(
     ham: BseHamiltonian,
     x,
     ledger: PhaseLedger | None = None,
     phase: str = "filter",
 ) -> np.ndarray:
-    """H x = S Q R Q* x: one real n x n GEMM, 4*n^2*k real FLOPs for k columns."""
+    """H x = S Q R Q* x: one real n x n GEMM, 4*n^2*k real FLOPs for k columns.
+
+    R Y for Y = to_real_block(x) is formed as (Y^T R)^T, the faster GEMM
+    orientation on OpenBLAS, which is R Y because R = R^T exactly; the
+    two 1/sqrt(2) factors of Q and Q* are the 1/2 of to_real_block.
+    """
     x = np.asarray(x, dtype=np.complex128)
     _check_rows(x, ham.n)
     cols = x if x.ndim == 2 else x[:, None]
-    out = _apply_sh(ham, cols)
+    y = to_real_block(cols)
+    out = from_real_block((y.T @ cached_real_form(ham)).T)  # (S H) x
     out[ham.m:] *= -1.0  # H = S (S H)
     if ledger is not None:
         ledger.add_flops(phase, 4.0 * ham.n * ham.n * cols.shape[1])

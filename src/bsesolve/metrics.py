@@ -5,8 +5,6 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 
-PHASES = ("definite", "lanczos", "filter", "ortho", "rr", "residuals")
-
 
 class PhaseLedger:
     """Accumulates modeled real FLOPs and wall seconds per solver phase.

@@ -94,7 +94,6 @@ class SolverConfig:
     seed: int = 0
     lanczos_steps: int = 24
     rel_res: bool = False
-    reproducible: bool = True
 
     @property
     def nevex(self) -> int:
@@ -207,7 +206,7 @@ def solve(ham: BseHamiltonian, cfg: SolverConfig) -> SolveResult:
         seconds_before = dict(ledger.seconds)
         k = nevex - len(locked_vals)
 
-        fcfg = FilterConfig.from_bounds(current, cfg.deg, "float32")
+        fcfg = FilterConfig.from_bounds(current, cfg.deg)
         with ledger.timing("filter"):
             if r32 is None:
                 r32 = cached_real_form(ham).astype(np.float32)
@@ -219,12 +218,9 @@ def solve(ham: BseHamiltonian, cfg: SolverConfig) -> SolveResult:
         with ledger.timing("ortho"):
             q, _ = s_orthonormalize(vhat, locked_y, ledger)
 
-        variant = "hermitian"
+        variant = "backup" if cfg.rr_variant == "backup" else "hermitian"
         with ledger.timing("rr"):
-            if cfg.rr_variant == "backup":
-                variant = "backup"
-                ritz, reduced = build_backup_rq(ham, q, ledger)
-            else:
+            if variant == "hermitian":
                 try:
                     ritz, reduced = build_hermitian_rq(ham, q, ledger)
                 except HermitianRqError as exc:
@@ -238,7 +234,8 @@ def solve(ham: BseHamiltonian, cfg: SolverConfig) -> SolveResult:
                     )
                     variant = "backup"
                     backup_events += 1
-                    ritz, reduced = build_backup_rq(ham, q, ledger)
+            if variant == "backup":
+                ritz, reduced = build_backup_rq(ham, q, ledger)
 
         with ledger.timing("residuals"):
             res = residuals(ham, ritz, ledger)
@@ -288,20 +285,14 @@ def solve(ham: BseHamiltonian, cfg: SolverConfig) -> SolveResult:
             current, vhat_values, res[active_idx], tol * normalizer, cfg.nev - len(locked_vals)
         )
 
-    if converged:
-        vals = np.array(locked_vals)
-        vecs = locked_y
-        resid = np.array(locked_res)
-    else:
-        # best effort: top up the locked pairs with the best active ones
-        missing = cfg.nev - len(locked_vals)
-        vals = np.concatenate([locked_vals, ritz.values[active_idx][:missing]])
-        vecs = np.concatenate(
-            [locked_y, ritz.vectors[:, active_idx[:missing]]], axis=1
-        )
-        resid = np.concatenate([locked_res, res[active_idx][:missing]])
+    # best effort: top up the locked pairs with the best active ones (none
+    # are missing when the solve converged)
+    missing = cfg.nev - len(locked_vals)
+    vals = np.concatenate([locked_vals, ritz.values[active_idx][:missing]])
+    vecs = np.concatenate([locked_y, ritz.vectors[:, active_idx[:missing]]], axis=1)
+    resid = np.concatenate([locked_res, res[active_idx][:missing]])
 
-    order = np.argsort(vals, kind="stable")[: cfg.nev]
+    order = np.argsort(vals, kind="stable")
     return SolveResult(
         lambdas=vals[order],
         v=vecs[:, order],

@@ -293,7 +293,7 @@ def test_criterion_8_determinism(tmp_path):
             cli,
             [
                 "solve", "--a", str(src / "A.mtx"), "--b", str(src / "B.mtx"),
-                "--nev", "4", "--seed", "11", "--reproducible", "--out", str(out),
+                "--nev", "4", "--seed", "11", "--out", str(out),
             ],
         )
         assert res.exit_code == 0, res.output

@@ -32,8 +32,6 @@ class TestFilterConfig:
     def test_zero_degree_rejected(self):
         with pytest.raises(ValidationError):
             FilterConfig(degree=0, center=0.0, half_width=1.0, scale_ref=-2.0)
-        with pytest.raises(ValidationError):
-            FilterConfig(degree=7, center=0.0, half_width=1.0, scale_ref=-2.0, precision="float16")
 
     def test_empty_interval_rejected(self):
         with pytest.raises(ValidationError):
@@ -167,14 +165,13 @@ class TestFilterPrecision:
         k = max(2, m // 16)
         bounds = estimate_bounds(ham, nevex=k, steps=24, seed=1)
         x = rng.complex_normal_matrix(rng.substream(m, 9), ham.n, k)
-        out = {
-            p: chebyshev_filter(ham, x, FilterConfig.from_bounds(bounds, 20, precision=p))
-            for p in ("float32", "float64")
-        }
-        assert out["float32"].dtype == np.complex128
-        err = np.abs(out["float32"] - out["float64"]).max() / np.abs(out["float64"]).max()
+        cfg = FilterConfig.from_bounds(bounds, 20)
+        out64 = chebyshev_filter(ham, x, cfg)
+        out32 = chebyshev_filter(ham, x, cfg, real_form=ham._r.astype(np.float32))
+        assert out32.dtype == np.complex128
+        err = np.abs(out32 - out64).max() / np.abs(out64).max()
         assert err <= self.RTOL
-        # the float32 copy of R lives only during the call
+        # the Hamiltonian keeps only its float64 R
         assert ham._r.dtype == np.float64
         big = [v for v in vars(ham).values() if isinstance(v, np.ndarray) and v.size >= ham.n**2]
         assert len(big) == 1 and big[0] is ham._r
@@ -219,14 +216,15 @@ class TestCorrectedFilter:
     def test_float32_error_scales_with_the_residual(self, m, seed):
         ham, bounds, v, lam, r = _ritz_pairs(m, seed, 1e-9)
         scale = np.finfo(np.float32).eps * np.linalg.norm(r, axis=0).max() / abs(bounds.mu_1)
-        ref = chebyshev_filter(ham, v, FilterConfig.from_bounds(bounds, 20))
-        cfg32 = FilterConfig.from_bounds(bounds, 20, precision="float32")
+        cfg = FilterConfig.from_bounds(bounds, 20)
+        ref = chebyshev_filter(ham, v, cfg)
+        r32 = ham._r.astype(np.float32)
 
         def err(out):
             return np.abs(out - ref).max() / np.abs(ref).max()
 
-        assert err(chebyshev_filter(ham, v, cfg32, None, lam, r)) <= self.K * scale
-        assert err(chebyshev_filter(ham, v, cfg32)) > 1e3 * self.K * scale
+        assert err(chebyshev_filter(ham, v, cfg, None, lam, r, real_form=r32)) <= self.K * scale
+        assert err(chebyshev_filter(ham, v, cfg, real_form=r32)) > 1e3 * self.K * scale
 
     def test_flop_model(self, ham_mid):
         # q_1 is a scaling: degree - 1 products

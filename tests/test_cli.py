@@ -296,14 +296,21 @@ class TestBenchCommand:
         out = tmp_path / "out"
         result = runner.invoke(
             cli, ["bench", "--a", str(a), "--b", str(b), "--nev", "2", "--reps", "1",
-                  "--lanczos-steps", "12", "--rel-res", "--no-reproducible",
+                  "--lanczos-steps", "12", "--rel-res", "--rr", "backup",
                   "--out", str(out)],
         )
         assert result.exit_code == 0, result.output
         config = json.loads((out / "manifest.json").read_text())["config"]
         assert set(config) == {f.name for f in fields(SolverConfig)} | {"reps"}
         assert config["lanczos_steps"] == 12
-        assert config["rel_res"] is True and config["reproducible"] is False
+        assert config["rel_res"] is True and config["rr_variant"] == "backup"
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_every_solver_field_is_a_parameter(self, command):
+        # both commands build SolverConfig(**options): a field without a
+        # parameter of the same name would silently keep its default
+        params = {p.name for p in cli.commands[command].params}
+        assert {f.name for f in fields(SolverConfig)} <= params
 
     def test_filter_dominates_modeled_flops(self, runner, tmp_path):
         a, b = _generate_inputs(runner, tmp_path / "in", m=64, seed=1)

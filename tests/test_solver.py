@@ -119,11 +119,27 @@ class TestSolve:
         assert res.iterations_used == 1
         assert res.lambdas.shape == (4,) and res.v.shape == (64, 4)
         assert len(res.trace) == 1
+        # two of four pairs lock: the result tops them up with the best
+        # active pairs, sorted, with the residuals of the returned vectors
+        res = solve(ham, SolverConfig(nev=4, seed=8, maxiter=2))
+        assert not res.converged and res.trace[-1].locked == 2
+        assert np.all(np.diff(res.lambdas) > 0)
+        r = apply_h(ham, res.v) - res.v * res.lambdas
+        np.testing.assert_array_equal(res.residual_norms, np.linalg.norm(r, axis=0))
 
     def test_indefinite_input_rejected(self):
         ham = BseHamiltonian(np.array([[1.0]]), np.array([[2.0]]))
         with pytest.raises(IndefiniteError):
             solve(ham, SolverConfig(nev=1, nex=0, deg=2, lanczos_steps=2))
+
+    def test_definiteness_cannot_be_asserted_by_the_caller(self):
+        # a caller-set DEFINITE skipped the certificate: this indefinite
+        # instance then "converged" in 3 iterations to lambda = [-89.89, -85.97]
+        ham = generate(GeneratorSpec(m=16, seed=0, coupling_ratio=5.0, mode="indefinite"))
+        with pytest.raises(TypeError):
+            BseHamiltonian(ham.a, ham.b, definiteness=Definiteness.DEFINITE)
+        with pytest.raises(IndefiniteError):
+            solve(BseHamiltonian(ham.a, ham.b), SolverConfig(nev=2))
 
     def test_validation_errors(self):
         ham = generate(GeneratorSpec(m=8, seed=0))
@@ -390,8 +406,8 @@ def _float64_only(monkeypatch):
     """Run every filter call of later solves in float64, corrected from row 2 on."""
     filt = solver.chebyshev_filter
 
-    def float64_filter(ham, vhat, cfg, ledger=None, *args, **kwargs):
-        return filt(ham, vhat, replace(cfg, precision="float64"), ledger, *args, **kwargs)
+    def float64_filter(ham, vhat, cfg, ledger=None, *args, real_form=None):
+        return filt(ham, vhat, cfg, ledger, *args)
 
     monkeypatch.setattr(solver, "chebyshev_filter", float64_filter)
 
