@@ -6,6 +6,9 @@ eigenvalue >= alpha, and B is rescaled so that ||B||_2 equals
 coupling_ratio * lambda_min(A).  For coupling_ratio < 1 the block estimate
 x* (S H) x >= (lambda_min(A) - ||B||_2) ||x||^2 makes S H positive definite
 by construction; is_definite re-verifies before the matrix is returned.
+The certificate is one Schur-complement step on the m x m blocks of the
+real form R (see `hamiltonian.is_definite`): generate() builds no n x n
+array, and the Hamiltonian it returns holds its two blocks alone.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ def generate(spec: GeneratorSpec) -> BseHamiltonian:
     if spec.mode == "definite" and outcome is not Definiteness.DEFINITE:
         raise AssertionError(
             "internal error: certified definite construction failed the "
-            f"Cholesky check (m={m}, seed={spec.seed})"
+            f"definiteness certificate (m={m}, seed={spec.seed})"
         )
     return ham
 

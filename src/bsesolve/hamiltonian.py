@@ -17,7 +17,9 @@ Since Q* S Q = i J, Q* H Q = i J R: the Chebyshev filter stays in the real
 block coordinates of `to_real_block` for a whole polynomial and converts
 back only at its end (see `chebyshev`).  R is the one n x n array a
 Hamiltonian keeps; a solve casts its own float32 copy for the filter and
-drops it on return.
+drops it on return.  The definiteness certificate (`is_definite`) forms no
+n x n array: it is one Schur-complement step on the m x m blocks of R,
+formed directly from A and B.
 """
 
 from __future__ import annotations
@@ -56,10 +58,10 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
 
 def _symmetrize(block: np.ndarray, pair: np.ndarray, name: str, kind: str) -> np.ndarray:
     """Accept small symmetry defects, repair them, reject large ones."""
-    scale = np.abs(block).max() if block.size else 0.0
     defect = np.abs(block - pair).max() if block.size else 0.0
     if defect == 0.0:
         return block
+    scale = np.abs(block).max()
     if scale > 0.0 and defect > SYMMETRY_RTOL * scale:
         raise ValidationError(
             f"{name} violates {kind} beyond tolerance: defect={defect:.3e}, "
@@ -80,13 +82,15 @@ class BseHamiltonian:
     the block scale are repaired on construction.  The full matrix is only
     materialized on explicit request.  The real symmetric form R that the
     H-products run on is built on first use and kept (read-only) until the
-    Hamiltonian is dropped.  definiteness is not a constructor argument:
-    only the certificate of `is_definite` sets it.
+    Hamiltonian is dropped.  definiteness is read-only: only the
+    certificate of `is_definite` sets it.
     """
 
     a: np.ndarray
     b: np.ndarray
-    definiteness: Definiteness = field(default=Definiteness.UNKNOWN, init=False)
+    _definiteness: Definiteness = field(
+        default=Definiteness.UNKNOWN, init=False, repr=False, compare=False
+    )
     _r: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -102,6 +106,10 @@ class BseHamiltonian:
         b.flags.writeable = False
         self.a = a
         self.b = b
+
+    @property
+    def definiteness(self) -> Definiteness:
+        return self._definiteness
 
     @property
     def m(self) -> int:
@@ -261,20 +269,55 @@ def cached_real_form(ham: BseHamiltonian) -> np.ndarray:
     return ham._r
 
 
-def is_definite(ham: BseHamiltonian) -> Definiteness:
-    """Classify S H by a Cholesky factorization of its real form (cached).
+#: Row count at or below which `_forward_substitute` calls np.linalg.solve.
+_SOLVE_LEAF = 128
 
-    Factors the R kept on ham if an H-product has built it, else a
-    temporary R that is not kept: a Hamiltonian that was only classified
-    (as `generate` returns it) holds its blocks alone.
+
+def _forward_substitute(lower: np.ndarray, x: np.ndarray) -> None:
+    """Overwrite x with L^{-1} x for the lower triangular L = lower, in place.
+
+    Recursive 2 x 2 block forward substitution: x1 <- L11^{-1} x1, then
+    x2 <- L22^{-1} (x2 - L21 x1).  The updates are GEMMs and the leaves of
+    at most _SOLVE_LEAF rows go to np.linalg.solve (numpy has no triangular
+    solve, and scipy's would load a second BLAS).
+    """
+    k = lower.shape[0]
+    if k <= _SOLVE_LEAF:
+        x[...] = np.linalg.solve(lower, x)
+        return
+    h = k // 2
+    _forward_substitute(lower[:h, :h], x[:h])
+    x[h:] -= lower[h:, :h] @ x[:h]
+    _forward_substitute(lower[h:, h:], x[h:])
+
+
+def is_definite(ham: BseHamiltonian) -> Definiteness:
+    """Classify S H by a blocked Cholesky factorization of its real form (cached).
+
+    R = [[P, C^T], [C, Q]] with P = Re(A+B), Q = Re(A-B) (a block here, not
+    the unitary Q) and C = Im(A+B) is positive definite iff P is and so is
+    the Schur complement Q - W^T W, W = L_P^{-1} C^T with P = L_P L_P^T.
+    L_P, W^T and L_S with Q - W^T W = L_S L_S^T are the blocks of R's
+    Cholesky factor [[L_P, 0], [W^T, L_S]], so this is one step of a blocked
+    Cholesky of R: m^3/3 + m^3 + m^3 (W^T W) + m^3/3 = n^3/3 FLOPs, as for
+    R itself.  Each piece is m x m, formed from A and B and dropped once
+    used, so the certificate never forms R or another n x n array.
     """
     if ham.definiteness is not Definiteness.UNKNOWN:
         return ham.definiteness
-    r = ham._r if ham._r is not None else real_symmetric_form(ham)
+    ar, ai = ham.a.real, ham.a.imag
+    br, bi = ham.b.real, ham.b.imag
     try:
-        np.linalg.cholesky(r)
+        l_p = np.linalg.cholesky(ar + br)
+        w = np.add(ai, bi).T  # C^T, C-contiguous; overwritten by W
+        _forward_substitute(l_p, w)
+        del l_p
+        s = w.T @ w
+        del w
+        np.subtract(ar - br, s, out=s)
+        np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
-        ham.definiteness = Definiteness.INDEFINITE
+        ham._definiteness = Definiteness.INDEFINITE
     else:
-        ham.definiteness = Definiteness.DEFINITE
+        ham._definiteness = Definiteness.DEFINITE
     return ham.definiteness

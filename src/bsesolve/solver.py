@@ -169,16 +169,14 @@ def solve(ham: BseHamiltonian, cfg: SolverConfig) -> SolveResult:
     n, nevex, tol = ham.n, cfg.nevex, cfg.tol
     ledger = PhaseLedger()
     with ledger.timing("definite"):
-        # R is built once here: the certificate factors it and every
-        # H-product of the solve runs on it; a rejected Hamiltonian keeps none
+        # the certificate runs on the m x m blocks; R, which every H-product
+        # of the solve runs on, is built once, after it certifies
         factored = ham.definiteness is Definiteness.UNKNOWN
-        if ham.definiteness is not Definiteness.INDEFINITE:
-            cached_real_form(ham)
         if is_definite(ham) is not Definiteness.DEFINITE:
-            ham._r = None
             raise IndefiniteError("solver requires S*H positive definite")
         if factored:
             ledger.add_flops("definite", n**3 / 3.0)
+        cached_real_form(ham)
     with ledger.timing("lanczos"):
         bounds = estimate_bounds(
             ham, nevex, cfg.lanczos_steps, rng.substream(cfg.seed, TAG_LANCZOS), ledger

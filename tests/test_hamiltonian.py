@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,6 +267,113 @@ class TestRealSymmetricForm:
         assert is_definite(ham) is expected
 
 
+def _dense_class(ham):
+    """Reference classification: numpy's Cholesky of the whole n x n form R."""
+    try:
+        np.linalg.cholesky(real_symmetric_form(ham))
+    except np.linalg.LinAlgError:
+        return Definiteness.INDEFINITE
+    return Definiteness.DEFINITE
+
+
+class TestSchurCertificate:
+    """is_definite's Schur step on the m x m blocks classifies as a Cholesky of R."""
+
+    @pytest.mark.parametrize(
+        "m, seed",
+        [(m, seed) for m in (1, 2, 3, 5, 16, 33, 64) for seed in range(6)]
+        # past _SOLVE_LEAF rows the substitution recurses
+        + [(129, 0), (129, 1), (300, 0), (300, 1)],
+    )
+    def test_matches_dense_cholesky(self, m, seed):
+        for ratio in (0.5, 0.99, 0.999999, 1.0, 1.000001, 1.01, 1.5, 3.0):
+            mode = "definite" if ratio < 1 else "indefinite"
+            ham = generate(GeneratorSpec(m=m, seed=seed, coupling_ratio=ratio, mode=mode))
+            fresh = BseHamiltonian(ham.a, ham.b)
+            verdict = is_definite(fresh)
+            if ratio < 1:
+                assert verdict is Definiteness.DEFINITE
+            eigs = np.linalg.eigvalsh(real_symmetric_form(ham))
+            if abs(eigs[0]) <= 4 * ham.n * np.finfo(float).eps * np.abs(eigs).max():
+                # |B| = A at m = 1 and ratio 1 makes R exactly singular: its
+                # class is set by rounding (numpy's solve divides by L_P, the
+                # BLAS Cholesky multiplies by 1 / L_P), so either is right
+                assert m == 1 and ratio == 1.0
+                continue
+            assert verdict is _dense_class(ham), ratio
+
+    @pytest.mark.parametrize("m", [1, 5, 64, 200])
+    def test_degenerate_blocks(self, m):
+        a = generate(GeneratorSpec(m=m, seed=m)).a
+        b = generate(GeneratorSpec(m=m, seed=m + 1)).b
+        zero = np.zeros((m, m))
+        cases = [
+            (a, zero, Definiteness.DEFINITE),
+            (zero, b, Definiteness.INDEFINITE),
+            (zero, zero, Definiteness.INDEFINITE),
+            (-a, zero, Definiteness.INDEFINITE),
+            (-a, b, Definiteness.INDEFINITE),
+        ]
+        for a_block, b_block, expected in cases:
+            ham = BseHamiltonian(a_block, b_block)
+            assert _dense_class(ham) is expected
+            assert is_definite(ham) is expected
+
+    def test_empty_blocks_are_definite(self):
+        ham = BseHamiltonian(np.zeros((0, 0)), np.zeros((0, 0)))
+        assert is_definite(ham) is Definiteness.DEFINITE
+
+    @pytest.mark.parametrize("m, seed", [(1, 0), (5, 1), (33, 2), (64, 3), (200, 4)])
+    def test_matches_dense_cholesky_at_bisected_boundary(self, m, seed):
+        # B -> t B: definite at t = 0, indefinite for large t; bisect the
+        # reference's switch point t*, then classify just either side of it
+        base = generate(GeneratorSpec(m=m, seed=seed))
+
+        def scaled(t):
+            return BseHamiltonian(base.a, t * base.b)
+
+        lo, hi = 0.0, 1.0
+        while _dense_class(scaled(hi)) is Definiteness.DEFINITE:
+            lo, hi = hi, 2.0 * hi
+        while hi - lo > 1e-12 * hi:
+            mid = 0.5 * (lo + hi)
+            if _dense_class(scaled(mid)) is Definiteness.DEFINITE:
+                lo = mid
+            else:
+                hi = mid
+        for t, expected in (
+            (lo * (1 - 1e-9), Definiteness.DEFINITE),
+            (hi * (1 + 1e-9), Definiteness.INDEFINITE),
+        ):
+            assert _dense_class(scaled(t)) is expected
+            assert is_definite(scaled(t)) is expected
+
+    @pytest.mark.parametrize("k", [1, 128, 129, 300, 513])
+    def test_forward_substitution(self, k):
+        g = np.random.default_rng(k)
+        f = g.standard_normal((k, k))
+        lower = np.linalg.cholesky(f @ f.T + k * np.eye(k))
+        x = g.standard_normal((k, 7))
+        w = x.copy()
+        hamiltonian._forward_substitute(lower, w)
+        np.testing.assert_allclose(lower @ w, x, rtol=0, atol=1e-12 * np.abs(x).max())
+        np.testing.assert_allclose(w, np.linalg.solve(lower, x), rtol=1e-10, atol=1e-12)
+
+    def test_allocates_no_n_by_n_array(self):
+        ham = generate(GeneratorSpec(m=256, seed=0))
+        fresh = BseHamiltonian(ham.a, ham.b)
+        nbytes = 8 * fresh.n**2  # one float64 n x n array
+        tracemalloc.start()
+        try:
+            assert is_definite(fresh) is Definiteness.DEFINITE
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # at least one m x m piece is traced (n^2/4 doubles); a dense
+        # Cholesky of R peaks at two n x n arrays
+        assert nbytes / 4 <= peak <= 1.25 * nbytes
+
+
 class TestCachedRealForm:
     """R lives on a Hamiltonian from its first H-product until it is dropped."""
 
@@ -290,14 +398,15 @@ class TestCachedRealForm:
         assert is_definite(fresh) is Definiteness.DEFINITE
         assert fresh._r is None
 
-    def test_is_definite_factors_the_cached_form(self, ham_small, monkeypatch):
-        fresh = BseHamiltonian(ham_small.a, ham_small.b)
-        cached_real_form(fresh)
+    def test_is_definite_builds_no_real_form(self, ham_small, monkeypatch):
         built = []
         monkeypatch.setattr(
             hamiltonian, "real_symmetric_form", lambda ham: built.append(ham)
         )
+        fresh = BseHamiltonian(ham_small.a, ham_small.b)
         assert is_definite(fresh) is Definiteness.DEFINITE
+        indefinite = BseHamiltonian(ham_small.a, 100.0 * ham_small.b)
+        assert is_definite(indefinite) is Definiteness.INDEFINITE
         assert built == []
 
     def test_not_in_repr_or_init(self, ham2):

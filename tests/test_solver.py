@@ -138,8 +138,12 @@ class TestSolve:
         ham = generate(GeneratorSpec(m=16, seed=0, coupling_ratio=5.0, mode="indefinite"))
         with pytest.raises(TypeError):
             BseHamiltonian(ham.a, ham.b, definiteness=Definiteness.DEFINITE)
+        fresh = BseHamiltonian(ham.a, ham.b)
+        with pytest.raises(AttributeError):
+            fresh.definiteness = Definiteness.DEFINITE
+        assert fresh.definiteness is Definiteness.UNKNOWN
         with pytest.raises(IndefiniteError):
-            solve(BseHamiltonian(ham.a, ham.b), SolverConfig(nev=2))
+            solve(fresh, SolverConfig(nev=2))
 
     def test_validation_errors(self):
         ham = generate(GeneratorSpec(m=8, seed=0))
@@ -281,11 +285,11 @@ class TestDefinitePhase:
 
         monkeypatch.setattr(hamiltonian, "real_symmetric_form", counted)
         ham = generate(GeneratorSpec(m=32, seed=18))
-        assert len(built) == 1  # generate's certificate, not kept
+        assert built == []  # generate's certificate runs on the m x m blocks
         fresh = BseHamiltonian(ham.a, ham.b)
         res = solve(fresh, SolverConfig(nev=4, seed=18))
         assert res.converged
-        assert built[1:] == [fresh]
+        assert built == [fresh]
 
     def test_rejected_hamiltonian_keeps_no_real_form(self, monkeypatch):
         real_form = hamiltonian.real_symmetric_form
@@ -300,15 +304,15 @@ class TestDefinitePhase:
         fresh = BseHamiltonian(ham.a, ham.b)
         built.clear()
         cfg = SolverConfig(nev=2, seed=5)
-        # unclassified: R is built for the certificate, then dropped
+        # unclassified: the certificate rejects it without building R
         with pytest.raises(IndefiniteError):
             solve(fresh, cfg)
         assert fresh.definiteness is Definiteness.INDEFINITE
-        assert fresh._r is None and built == [fresh]
-        # classified INDEFINITE: rejected without building R
+        assert fresh._r is None and built == []
+        # classified INDEFINITE: rejected from the cached class
         with pytest.raises(IndefiniteError):
             solve(fresh, cfg)
-        assert fresh._r is None and built == [fresh]
+        assert fresh._r is None and built == []
 
 
 class TestIndependentResidualGate:
