@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
 import struct
 from datetime import datetime, timezone
 from pathlib import Path
@@ -77,15 +78,19 @@ def _parse_entries(fh, count: int) -> np.ndarray:
 def read_matrix_market(path: str | Path) -> np.ndarray:
     """Read a complex array Matrix Market file written by this package."""
     with open(path) as fh:
-        header = fh.readline().strip()
+        header = fh.readline()
+        consumed = len(header)
+        header = header.strip()
         tokens = header.lower().split()
         if len(tokens) != 5 or tokens[0] != "%%matrixmarket" or tokens[1:] != [
             "matrix", "array", "complex", "general",
         ]:
             raise ValidationError(f"unsupported Matrix Market header: {header!r}")
         line = fh.readline()
+        consumed += len(line)
         while line.startswith("%"):
             line = fh.readline()
+            consumed += len(line)
         try:
             rows, cols = (int(t) for t in line.split())
         except ValueError as exc:
@@ -93,6 +98,15 @@ def read_matrix_market(path: str | Path) -> np.ndarray:
         if rows < 0 or cols < 0:
             raise ValidationError(f"malformed size line: {line!r}")
         count = rows * cols
+        # consumed counts characters, never more than the bytes they took; an
+        # entry line takes at least 4 bytes ("x y" and its newline, which the
+        # last line may lack): reject what cannot fit before allocating
+        remaining = os.fstat(fh.fileno()).st_size - consumed
+        if count and 4 * count - 1 > remaining:
+            raise ValidationError(
+                f"truncated: {rows} x {cols} entries cannot fit in the {remaining} bytes "
+                "after the size line"
+            )
         pairs = np.empty((count, 2), dtype=np.float64)
         for start in range(0, count, _MM_CHUNK):
             stop = min(start + _MM_CHUNK, count)
@@ -102,6 +116,20 @@ def read_matrix_market(path: str | Path) -> np.ndarray:
 
 
 # ------------------------------------------------------------------ pchb binary
+
+def _read_exact(fh, size: int, what: str) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValidationError(f"truncated: {what} needs {size} bytes, the file has {len(data)}")
+    return data
+
+
+def _check_length(fh, size: int, what: str) -> None:
+    """Reject a file shorter than the size its header declares, before reading it."""
+    actual = os.fstat(fh.fileno()).st_size
+    if actual < size:
+        raise ValidationError(f"truncated: a {what} takes {size} bytes, the file has {actual}")
+
 
 def write_pchb(path: str | Path, ham: BseHamiltonian) -> None:
     """Compact binary: magic, version, m, then A and B column major LE."""
@@ -117,10 +145,11 @@ def read_pchb(path: str | Path) -> BseHamiltonian:
         magic = fh.read(4)
         if magic != _PCHB_MAGIC:
             raise ValidationError(f"not a PCHB file (magic {magic!r})")
-        version, m = struct.unpack("<IQ", fh.read(12))
+        version, m = struct.unpack("<IQ", _read_exact(fh, 12, "PCHB header"))
         if version != _FORMAT_VERSION:
             raise ValidationError(f"unsupported PCHB version {version}")
         count = m * m
+        _check_length(fh, 16 + 32 * count, f"PCHB with m = {m}")
         a = np.frombuffer(fh.read(16 * count), dtype="<c16", count=count)
         b = np.frombuffer(fh.read(16 * count), dtype="<c16", count=count)
     a = np.asfortranarray(a.reshape((m, m), order="F"))
@@ -142,9 +171,10 @@ def read_pchv(path: str | Path) -> np.ndarray:
         magic = fh.read(4)
         if magic != _PCHV_MAGIC:
             raise ValidationError(f"not a PCHV file (magic {magic!r})")
-        version, n, k = struct.unpack("<IQQ", fh.read(20))
+        version, n, k = struct.unpack("<IQQ", _read_exact(fh, 20, "PCHV header"))
         if version != _FORMAT_VERSION:
             raise ValidationError(f"unsupported PCHV version {version}")
+        _check_length(fh, 24 + 16 * n * k, f"PCHV with n = {n}, k = {k}")
         data = np.frombuffer(fh.read(16 * n * k), dtype="<c16", count=n * k)
     return np.asfortranarray(data.reshape((n, k), order="F"))
 

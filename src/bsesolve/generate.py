@@ -8,7 +8,11 @@ x* (S H) x >= (lambda_min(A) - ||B||_2) ||x||^2 makes S H positive definite
 by construction; is_definite re-verifies before the matrix is returned.
 The certificate is one Schur-complement step on the m x m blocks of the
 real form R (see `hamiltonian.is_definite`): generate() builds no n x n
-array, and the Hamiltonian it returns holds its two blocks alone.
+array, and the Hamiltonian it returns holds its two blocks alone.  The
+blocks are formed in place in Fortran order, so BseHamiltonian takes them
+without a copy.  generate() allocates at most 3.25 blocks of 16 m^2 bytes
+at once (tracemalloc): the certificate's m x m pieces beside A and B, after
+3 blocks for the product C C* (C, conj(C) and A).
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .hamiltonian import (
     apply_k,
     apply_s,
     is_definite,
+    symmetric_part,
 )
 
 #: Substream tags (see rng module docs): block C feeding A, block D feeding B.
@@ -60,20 +65,29 @@ class GeneratorSpec:
 
 
 def generate(spec: GeneratorSpec) -> BseHamiltonian:
-    """Build the Hamiltonian described by spec (deterministic per seed)."""
+    """Build the Hamiltonian described by spec (deterministic per seed).
+
+    A = C C* + alpha I, made exactly hermitian as (A + A*) / 2, and
+    B = s B0 with B0 = (D + D^T) / 2 and s = coupling_ratio * lambda_min(A)
+    / ||B0||_2, for complex normal C and D.  Every step runs in place on
+    Fortran-order arrays, and C is dropped once A is formed.
+    """
     m = spec.m
     c = rng.complex_normal_matrix(rng.substream(spec.seed, TAG_RESONANT), m, m)
-    a = c @ c.conj().T + spec.alpha * np.eye(m)
-    a = (a + a.conj().T) / 2.0
+    a = np.empty((m, m), dtype=np.complex128, order="F")
+    np.matmul(c, c.conj().T, out=a)
+    del c
+    a.reshape(-1, order="F")[:: m + 1] += spec.alpha  # A = C C* + alpha I
+    symmetric_part(a, hermitian=True)
 
     if spec.coupling_ratio == 0.0:
-        b = np.zeros((m, m), dtype=np.complex128)
+        b = np.zeros((m, m), dtype=np.complex128, order="F")
     else:
-        d = rng.complex_normal_matrix(rng.substream(spec.seed, TAG_COUPLING), m, m)
-        b0 = (d + d.T) / 2.0
-        b_norm = np.linalg.svd(b0, compute_uv=False)[0]
+        b = rng.complex_normal_matrix(rng.substream(spec.seed, TAG_COUPLING), m, m)
+        symmetric_part(b, hermitian=False)  # B0 = (D + D^T) / 2
+        b_norm = np.linalg.svd(b, compute_uv=False)[0]
         lam_min = float(np.linalg.eigvalsh(a)[0])
-        b = (spec.coupling_ratio * lam_min / b_norm) * b0
+        b *= spec.coupling_ratio * lam_min / b_norm
 
     ham = BseHamiltonian(a, b)
     outcome = is_definite(ham)

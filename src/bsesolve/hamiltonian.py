@@ -20,6 +20,12 @@ Hamiltonian keeps; a solve casts its own float32 copy for the filter and
 drops it on return.  The definiteness certificate (`is_definite`) forms no
 n x n array: it is one Schur-complement step on the m x m blocks of R,
 formed directly from A and B.
+
+Construction takes Fortran-order complex128 blocks without a copy and
+checks their symmetries by walking pairs of small tiles (`symmetry_defect`),
+so on exact blocks it allocates tiles, not blocks.  The same walk forms a
+hermitian or symmetric part in place (`symmetric_part`): generate() builds
+its blocks with it, and a repair on load runs it on one copy of the block.
 """
 
 from __future__ import annotations
@@ -56,12 +62,68 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def _symmetrize(block: np.ndarray, pair: np.ndarray, name: str, kind: str) -> np.ndarray:
-    """Accept small symmetry defects, repair them, reject large ones."""
-    defect = np.abs(block - pair).max() if block.size else 0.0
+#: Rows and columns of the square tiles that `_tile_pairs` walks.
+_TILE = 64
+
+
+def _tile_pairs(m: int):
+    """Index pairs (I, J) of the tiles of an m x m array on and below its diagonal.
+
+    Tile (I, J) and its mirror (J, I) together cover every entry once, the
+    diagonal tiles alone; the tiles are _TILE x _TILE, fewer at the edges.
+    """
+    for i0 in range(0, m, _TILE):
+        rows = slice(i0, min(i0 + _TILE, m))
+        for j0 in range(0, i0 + 1, _TILE):
+            yield rows, slice(j0, min(j0 + _TILE, m))
+
+
+def _mirror(x: np.ndarray, i: slice, j: slice, hermitian: bool) -> np.ndarray:
+    """conj(x[j, i]).T if hermitian else x[j, i].T."""
+    return x[j, i].conj().T if hermitian else x[j, i].T
+
+
+def symmetry_defect(x: np.ndarray, hermitian: bool) -> float:
+    """max |x_ij - conj(x_ji)| (hermitian) or max |x_ij - x_ji| of a square x.
+
+    Walks tile pairs, so it allocates tiles only.  |x_ji - conj(x_ij)| is
+    |x_ij - conj(x_ji)| exactly (only signs differ), so the tiles on and below
+    the diagonal give the bits of the full-array maximum.
+    """
+    defect = 0.0
+    for i, j in _tile_pairs(x.shape[0]):
+        defect = max(defect, np.abs(x[i, j] - _mirror(x, i, j, hermitian)).max())
+    return float(defect)
+
+
+def max_abs(x: np.ndarray) -> float:
+    """max |x_ij| (0.0 for an empty x), one panel of _TILE columns at a time."""
+    panels = range(0, x.shape[1], _TILE)
+    return max((float(np.abs(x[:, j:j + _TILE]).max()) for j in panels), default=0.0)
+
+
+def symmetric_part(x: np.ndarray, hermitian: bool) -> np.ndarray:
+    """Overwrite a square x with (x + x^H) / 2 (hermitian) or (x + x^T) / 2.
+
+    Each entry is written as (x_ij + conj(x_ji)) / 2 (or (x_ij + x_ji) / 2)
+    from the values before the call, one tile pair at a time, so x ends bit
+    for bit as the out-of-place expression would.  Returns x.
+    """
+    for i, j in _tile_pairs(x.shape[0]):
+        lower = (x[i, j] + _mirror(x, i, j, hermitian)) / 2.0
+        if i != j:
+            x[j, i] = (x[j, i] + _mirror(x, j, i, hermitian)) / 2.0
+        x[i, j] = lower
+    return x
+
+
+def _symmetrize(block: np.ndarray, name: str, hermitian: bool) -> np.ndarray:
+    """Accept small symmetry defects, repair them on a copy, reject large ones."""
+    kind = "hermiticity" if hermitian else "symmetry"
+    defect = symmetry_defect(block, hermitian)
     if defect == 0.0:
         return block
-    scale = np.abs(block).max()
+    scale = max_abs(block)
     if scale > 0.0 and defect > SYMMETRY_RTOL * scale:
         raise ValidationError(
             f"{name} violates {kind} beyond tolerance: defect={defect:.3e}, "
@@ -71,7 +133,7 @@ def _symmetrize(block: np.ndarray, pair: np.ndarray, name: str, kind: str) -> np
         "%s had a %s defect of %.3e (scale %.3e); symmetrized on load",
         name, kind, defect, scale,
     )
-    return (block + pair) / 2.0
+    return symmetric_part(block.copy(order="F"), hermitian)
 
 
 @dataclass(eq=False)
@@ -100,8 +162,8 @@ class BseHamiltonian:
             raise ValidationError(f"blocks must be square, got {a.shape} and {b.shape}")
         if a.shape != b.shape:
             raise ValidationError(f"A and B must agree in size, got {a.shape} != {b.shape}")
-        a = _symmetrize(a, a.conj().T, "A", "hermiticity")
-        b = _symmetrize(b, b.T, "B", "symmetry")
+        a = _symmetrize(a, "A", hermitian=True)
+        b = _symmetrize(b, "B", hermitian=False)
         a.flags.writeable = False
         b.flags.writeable = False
         self.a = a
@@ -237,6 +299,23 @@ def validate_pseudo_hermitian(h_dense) -> tuple[bool, float]:
     hs[:, h.shape[0] // 2:] *= -1.0  # right-multiplying by S negates the right half columns
     defect = float(np.abs(sh - hs).max()) if h.size else 0.0
     scale = float(np.abs(h).max()) if h.size else 0.0
+    return defect <= SYMMETRY_RTOL * scale, defect
+
+
+def validate_blocks(a, b) -> tuple[bool, float]:
+    """`validate_pseudo_hermitian` of [[A, B], [-conj(B), -conj(A)]] from its blocks.
+
+    S H - H* S = [[A - A*, B - B^T], [conj(B) - B*, conj(A) - A^T]], whose
+    entries have the moduli of A's hermiticity and B's symmetry defects, and
+    max |H| = max(|A|, |B|): both results are the dense function's, bit for
+    bit, with no n x n array formed.
+    """
+    a = as_complex_matrix(a, "A")
+    b = as_complex_matrix(b, "B")
+    if a.shape[0] != a.shape[1] or a.shape != b.shape:
+        raise ValidationError(f"blocks must be square and agree, got {a.shape} and {b.shape}")
+    defect = max(symmetry_defect(a, hermitian=True), symmetry_defect(b, hermitian=False))
+    scale = max(max_abs(a), max_abs(b))
     return defect <= SYMMETRY_RTOL * scale, defect
 
 

@@ -18,7 +18,9 @@ language.  The scheme (also documented in docs/FORMATS.md):
   ``r*cos(2*pi*u2) + 1j*r*sin(2*pi*u2)`` with ``r = sqrt(-2*ln(u1))``,
   giving independent N(0, 1) real and imaginary parts.
 * matrices are filled in column-major order: entry ``(i, j)`` of an
-  ``rows x cols`` matrix is complex normal number ``j*rows + i``.
+  ``rows x cols`` matrix is complex normal number ``j*rows + i``.  The fill
+  runs in chunks of consecutive numbers (``start_index``), which changes
+  no bit, since each number depends on its index alone.
 * child streams: ``substream(seed, tag) = word(seed, tag)``.  Consumers
   never draw data from a parent seed directly, only from tagged children,
   so counters cannot collide across purposes.
@@ -75,7 +77,20 @@ def complex_normals(seed: int, count: int, start_index: int = 0) -> np.ndarray:
     return r * np.cos(ang) + 1j * (r * np.sin(ang))
 
 
+#: Values per chunk of `complex_normal_matrix`; bounds its temporaries.
+_CHUNK = 1 << 14
+
+
 def complex_normal_matrix(seed: int, rows: int, cols: int) -> np.ndarray:
-    """rows x cols matrix of standard complex normals, column-major fill."""
-    flat = complex_normals(seed, rows * cols)
-    return np.asfortranarray(flat.reshape((rows, cols), order="F"))
+    """rows x cols matrix of standard complex normals, column-major fill.
+
+    Filled _CHUNK values at a time through ``start_index``, so the
+    temporaries of the stream stay chunk-sized; value k depends on k alone,
+    so the chunks change no bit.
+    """
+    out = np.empty((rows, cols), dtype=np.complex128, order="F")
+    flat = out.reshape(-1, order="F")  # a view: out is F-contiguous
+    for start in range(0, flat.size, _CHUNK):
+        count = min(_CHUNK, flat.size - start)
+        flat[start:start + count] = complex_normals(seed, count, start)
+    return out

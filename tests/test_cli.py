@@ -176,6 +176,28 @@ class TestPchbInput:
         )
         assert result.exit_code == 2
 
+    def test_truncated_pchb_is_validation_error(self, runner, tmp_path):
+        p = tmp_path / "ham.pchb"
+        fileio.write_pchb(p, generate(GeneratorSpec(m=4, seed=1)))
+        p.write_bytes(p.read_bytes()[:-8])
+        result = runner.invoke(
+            cli, ["solve", "--pchb", str(p), "--nev", "1", "--out", str(tmp_path / "out")],
+        )
+        assert result.exit_code == 2, result.output
+        assert "truncated" in result.output
+
+
+class TestMatrixMarketInput:
+    def test_size_line_larger_than_the_body_is_validation_error(self, runner, tmp_path):
+        a, b = _generate_inputs(runner, tmp_path / "in", m=4, seed=1)
+        a.write_text("%%MatrixMarket matrix array complex general\n1000000 1000000\n1.0 2.0\n")
+        result = runner.invoke(
+            cli, ["solve", "--a", str(a), "--b", str(b), "--nev", "1",
+                  "--out", str(tmp_path / "out")],
+        )
+        assert result.exit_code == 2, result.output
+        assert "cannot fit" in result.output
+
 
 class TestOracleCommand:
     def test_2x2_closed_form(self, runner, tmp_path):
@@ -260,6 +282,41 @@ class TestVerifyCommand:
         )
         assert result.exit_code == 0, result.output
         assert "FAIL" not in result.output
+
+    @pytest.mark.parametrize("bad", ["A", "B"])
+    def test_loaded_structure_defect_matches_the_dense_check(self, runner, tmp_path, bad):
+        from bsesolve import validate_pseudo_hermitian
+
+        ham = generate(GeneratorSpec(m=70, seed=2))
+        a, b = ham.a.copy(), ham.b.copy()
+        (a if bad == "A" else b)[66, 3] += 2.5e-6 - 1e-6j
+        fileio.write_matrix_market(tmp_path / "A.mtx", a)
+        fileio.write_matrix_market(tmp_path / "B.mtx", b)
+        ok, defect = validate_pseudo_hermitian(
+            np.block([[a, b], [-np.conj(b), -np.conj(a)]])
+        )
+        result = runner.invoke(
+            cli, ["verify", "--a", str(tmp_path / "A.mtx"), "--b", str(tmp_path / "B.mtx")],
+        )
+        assert result.exit_code == 0, result.output
+        assert not ok
+        assert f"FAIL  pseudo_hermitian_structure: max defect {defect:.3e}\n" in result.output
+
+    @pytest.mark.parametrize("a, b", [
+        (np.eye(2), np.eye(3)),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.eye(2)),
+    ], ids=["shapes_differ", "non_finite"])
+    def test_malformed_loaded_blocks_are_validation_errors(self, runner, tmp_path, a, b):
+        for name, block in (("A.mtx", a), ("B.mtx", b)):
+            body = "".join(f"{z.real:.17e} {z.imag:.17e}\n" for z in np.ravel(block, order="F"))
+            (tmp_path / name).write_text(
+                "%%MatrixMarket matrix array complex general\n"
+                f"{block.shape[0]} {block.shape[1]}\n" + body
+            )
+        result = runner.invoke(
+            cli, ["verify", "--a", str(tmp_path / "A.mtx"), "--b", str(tmp_path / "B.mtx")],
+        )
+        assert result.exit_code == 2, result.output
 
     def test_singular_direction_detection_reported(self, runner):
         result = runner.invoke(cli, ["verify", "--m", "6", "--seed", "1"])

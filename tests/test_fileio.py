@@ -102,7 +102,36 @@ class TestMatrixMarket:
             fileio.read_matrix_market(p)
 
 
+    def test_size_line_larger_than_the_body_rejected_before_allocating(self, tmp_path):
+        p = tmp_path / "huge.mtx"
+        p.write_text("%%MatrixMarket matrix array complex general\n1000000 1000000\n1.0 2.0\n")
+        with pytest.raises(ValidationError, match="cannot fit"):
+            fileio.read_matrix_market(p)
+
+    def test_shortest_entry_lines_fit(self, tmp_path):
+        p = tmp_path / "short_lines.mtx"
+        p.write_text("%%MatrixMarket matrix array complex general\n2 1\n1 2\n3 4")
+        np.testing.assert_array_equal(fileio.read_matrix_market(p), [[1 + 2j], [3 + 4j]])
+
+
+def _truncations(path, header_bytes):
+    """Copies of path cut inside the header, at its end and inside the data."""
+    data = path.read_bytes()
+    for cut in (header_bytes - 3, header_bytes, len(data) - 1):
+        short = path.with_name(f"cut{cut}_{path.name}")
+        short.write_bytes(data[:cut])
+        yield short
+
+
 class TestPchb:
+    def test_truncated_file_rejected(self, tmp_path):
+        p = tmp_path / "h.pchb"
+        fileio.write_pchb(p, _ham(4))
+        for short in _truncations(p, 16):
+            with pytest.raises(ValidationError, match="truncated"):
+                fileio.read_pchb(short)
+
+
     def test_round_trip_bit_identical(self, tmp_path):
         ham = _ham(4)
         p = tmp_path / "h.pchb"
@@ -135,6 +164,13 @@ class TestPchv:
         p = tmp_path / "v.bin"
         fileio.write_pchv(p, v)
         np.testing.assert_array_equal(fileio.read_pchv(p), v)
+
+    def test_truncated_file_rejected(self, tmp_path):
+        p = tmp_path / "v.bin"
+        fileio.write_pchv(p, np.ones((4, 3), dtype=complex))
+        for short in _truncations(p, 24):
+            with pytest.raises(ValidationError, match="truncated"):
+                fileio.read_pchv(short)
 
 
 class TestCsv:

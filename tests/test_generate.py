@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -17,6 +19,8 @@ from bsesolve import (
     quadruplet_partners,
     rho_sh,
 )
+from bsesolve import rng
+from bsesolve.generate import TAG_COUPLING, TAG_RESONANT
 
 from conftest import LAM2
 
@@ -80,6 +84,61 @@ class TestGenerate:
     def test_indefinite_mode_records_outcome(self):
         ham = generate(GeneratorSpec(m=6, seed=2, coupling_ratio=4.0, mode="indefinite"))
         assert ham.definiteness in (Definiteness.DEFINITE, Definiteness.INDEFINITE)
+
+
+def _full_array_blocks(spec):
+    """A and B formed as whole-array expressions, each a new array (reference)."""
+    m = spec.m
+
+    def normals(tag):
+        flat = rng.complex_normals(rng.substream(spec.seed, tag), m * m)
+        return np.asfortranarray(flat.reshape((m, m), order="F"))
+
+    c = normals(TAG_RESONANT)
+    a = c @ c.conj().T + spec.alpha * np.eye(m)
+    a = (a + a.conj().T) / 2.0
+    if spec.coupling_ratio == 0.0:
+        return a, np.zeros((m, m), dtype=np.complex128)
+    d = normals(TAG_COUPLING)
+    b0 = (d + d.T) / 2.0
+    b_norm = np.linalg.svd(b0, compute_uv=False)[0]
+    lam_min = float(np.linalg.eigvalsh(a)[0])
+    return a, (spec.coupling_ratio * lam_min / b_norm) * b0
+
+
+class TestInPlaceConstruction:
+    """generate() forms its blocks in place with the bits of the full-array form."""
+
+    @pytest.mark.parametrize("m", [1, 5, 255, 256, 257, 513])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(coupling_ratio=0.0),
+            dict(coupling_ratio=0.5),
+            dict(coupling_ratio=0.99),
+            dict(coupling_ratio=2.0, mode="indefinite"),
+            dict(coupling_ratio=0.3, alpha=0.25),
+        ],
+        ids=["tda", "half", "near_one", "indefinite", "alpha"],
+    )
+    def test_bit_identical_to_the_full_array_form(self, m, kwargs):
+        spec = GeneratorSpec(m=m, seed=m + 1, **kwargs)
+        ham = generate(spec)
+        a, b = _full_array_blocks(spec)
+        assert ham.a.tobytes(order="F") == a.tobytes(order="F")
+        assert ham.b.tobytes(order="F") == b.tobytes(order="F")
+        assert ham.a.flags.f_contiguous and ham.b.flags.f_contiguous
+
+    def test_peak_allocation(self):
+        m = 256
+        tracemalloc.start()
+        try:
+            generate(GeneratorSpec(m=m, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the full-array form peaks at 9.5 blocks of 16 m^2 bytes
+        assert peak <= 4 * 16 * m * m
 
 
 class TestFieldOfValues:

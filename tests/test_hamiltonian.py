@@ -22,7 +22,14 @@ from bsesolve import (
     validate_pseudo_hermitian,
 )
 from bsesolve import hamiltonian
-from bsesolve.hamiltonian import cached_real_form, real_symmetric_form
+from bsesolve.hamiltonian import (
+    cached_real_form,
+    max_abs,
+    real_symmetric_form,
+    symmetric_part,
+    symmetry_defect,
+    validate_blocks,
+)
 from bsesolve.metrics import PhaseLedger
 
 from conftest import LAM2
@@ -161,6 +168,89 @@ class TestValidatePseudoHermitian:
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValidationError):
             validate_pseudo_hermitian(np.eye(3))
+
+
+def _exact_blocks(m, seed):
+    """An exactly hermitian A and exactly symmetric B, F-order complex128."""
+    a = np.asfortranarray(_rand(m, m, seed))
+    b = np.asfortranarray(_rand(m, m, seed + 1))
+    return symmetric_part(a, hermitian=True), symmetric_part(b, hermitian=False)
+
+
+def _perturbed(m, seed, hermitian, where, eps=1e-9):
+    """A random block of the given symmetry with one entry moved by about eps."""
+    x = _exact_blocks(m, seed)[0 if hermitian else 1].copy(order="F")
+    t = hamiltonian._TILE
+    i, j = {"diagonal_tile": (t - 1, t - 2), "off_diagonal_tile": (m - 1, t - 1)}[where]
+    x[i, j] += eps * (1 + 2j)
+    return x
+
+
+class TestTileWalk:
+    """The tile-pair walk gives the bits of the full-array expressions."""
+
+    SIZES = [1, hamiltonian._TILE - 1, hamiltonian._TILE, hamiltonian._TILE + 1,
+             2 * hamiltonian._TILE + 3]
+
+    @pytest.mark.parametrize("m", SIZES[3:])
+    @pytest.mark.parametrize("where", ["diagonal_tile", "off_diagonal_tile"])
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["A", "B"])
+    def test_defect_equals_the_full_array_value(self, m, where, hermitian):
+        x = _perturbed(m, m, hermitian, where)
+        pair = x.conj().T if hermitian else x.T
+        full = np.abs(x - pair).max()
+        assert full > 1e-10
+        assert symmetry_defect(x, hermitian) == full
+        assert max_abs(x) == np.abs(x).max()
+
+    @pytest.mark.parametrize("m", SIZES)
+    def test_exact_blocks_have_zero_defect(self, m):
+        a, b = _exact_blocks(m, 3)
+        assert symmetry_defect(a, True) == 0.0
+        assert symmetry_defect(b, False) == 0.0
+
+    @pytest.mark.parametrize("m", SIZES)
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["A", "B"])
+    def test_symmetric_part_in_place_is_bit_identical(self, m, hermitian):
+        x = np.asfortranarray(_rand(m, m, m))
+        x[0, 0] = complex(-0.0, -0.0)  # signed zeros keep their sign too
+        expected = (x + (x.conj().T if hermitian else x.T)) / 2.0
+        assert symmetric_part(x, hermitian) is x
+        assert x.tobytes(order="F") == expected.tobytes(order="F")
+
+    def test_empty_block(self):
+        x = np.zeros((0, 0), dtype=np.complex128)
+        assert symmetry_defect(x, True) == 0.0 and max_abs(x) == 0.0
+
+
+class TestValidateBlocks:
+    @pytest.mark.parametrize("where", ["diagonal_tile", "off_diagonal_tile"])
+    @pytest.mark.parametrize("bad", ["A", "B", "both"])
+    def test_matches_the_dense_check(self, where, bad):
+        m = 2 * hamiltonian._TILE + 3
+        a, b = _exact_blocks(m, 8)
+        if bad in ("A", "both"):
+            a = _perturbed(m, 8, True, where)
+        if bad in ("B", "both"):
+            b = 3.0 * _perturbed(m, 8, False, where)
+        dense = np.block([[a, b], [-np.conj(b), -np.conj(a)]])
+        ok_dense, defect_dense = validate_pseudo_hermitian(dense)
+        ok, defect = validate_blocks(a, b)
+        assert (ok, defect) == (ok_dense, defect_dense)
+        assert f"max defect {defect:.3e}" == f"max defect {defect_dense:.3e}"
+
+    def test_exact_and_rejected_blocks(self, ham_small):
+        assert validate_blocks(ham_small.a, ham_small.b) == (True, 0.0)
+        a = ham_small.a.copy()
+        a[0, 1] += 1e-3
+        ok, defect = validate_blocks(a, ham_small.b)
+        assert not ok and defect == pytest.approx(1e-3)
+
+    def test_shapes_checked(self):
+        with pytest.raises(ValidationError):
+            validate_blocks(np.eye(2), np.eye(3))
+        with pytest.raises(ValidationError):
+            validate_blocks(np.ones((2, 3)), np.ones((2, 3)))
 
 
 class TestDefiniteness:
@@ -429,6 +519,39 @@ class TestConstruction:
         a = np.array([[1.0, 1e-3], [0.0, 1.0]])
         with pytest.raises(ValidationError):
             BseHamiltonian(a, np.zeros((2, 2)))
+
+    def test_exact_f_order_blocks_are_taken_without_a_copy(self):
+        a, b = _exact_blocks(5, 2)
+        ham = BseHamiltonian(a, b)
+        assert ham.a is a and ham.b is b
+
+    def test_allocates_tiles_not_blocks(self):
+        m = 256
+        a, b = _exact_blocks(m, 4)
+        tracemalloc.start()
+        try:
+            BseHamiltonian(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a full-array check peaks at 2.5 blocks above its inputs
+        assert peak <= 0.25 * 16 * m * m
+
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["A", "B"])
+    def test_repair_matches_the_full_array_form_on_a_copy(self, hermitian, caplog):
+        m = hamiltonian._TILE + 5
+        x = _perturbed(m, 6, hermitian, "off_diagonal_tile", eps=1e-13)
+        before = x.copy()
+        expected = (x + (x.conj().T if hermitian else x.T)) / 2.0
+        a, b = (x, _exact_blocks(m, 6)[1]) if hermitian else (_exact_blocks(m, 6)[0], x)
+        with caplog.at_level(logging.WARNING, logger="bsesolve.hamiltonian"):
+            ham = BseHamiltonian(a, b)
+        fixed = ham.a if hermitian else ham.b
+        assert fixed.tobytes(order="F") == expected.tobytes(order="F")
+        assert x.tobytes() == before.tobytes() and x.flags.writeable
+        kind = "hermiticity" if hermitian else "symmetry"
+        defect = np.abs(x - (x.conj().T if hermitian else x.T)).max()
+        assert f"{kind} defect of {defect:.3e} (scale {np.abs(x).max():.3e})" in caplog.text
 
     def test_small_defect_symmetrized_with_warning(self, caplog):
         a = np.array([[1.0, 1e-13], [0.0, 1.0]])

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from bsesolve import rng
 
@@ -57,3 +58,12 @@ def test_streams_with_different_tags_differ():
     a = rng.complex_normals(rng.substream(3, 0), 8)
     b = rng.complex_normals(rng.substream(3, 1), 8)
     assert np.abs(a - b).min() > 0
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 3), (1, 1), (7, 5), (130, 129)])
+def test_chunked_matrix_fill_equals_one_draw(rows, cols, monkeypatch):
+    monkeypatch.setattr(rng, "_CHUNK", 64)  # many chunks, the last one short
+    x = rng.complex_normal_matrix(11, rows, cols)
+    flat = rng.complex_normals(11, rows * cols)
+    assert x.flags.f_contiguous and x.shape == (rows, cols)
+    assert x.tobytes(order="F") == flat.tobytes()
