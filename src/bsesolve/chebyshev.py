@@ -8,8 +8,9 @@ toward zero.  Any degree >= 1 is allowed.
 
 The recurrence runs in Q* coordinates.  With the unitary
 Q = [[I, iI], [I, -iI]] / sqrt(2), Q* H Q = i J R, where R = Q* (S H) Q is
-the real symmetric form the Hamiltonian caches and J = [[0, I], [-I, 0]]
-(Shao, da Jornada, Yang, Deslippe & Lin, LAA 488, 2016).  The filter
+the real symmetric form (`hamiltonian.real_symmetric_form`) and
+J = [[0, I], [-I, 0]] (Shao, da Jornada, Yang, Deslippe & Lin, LAA 488,
+2016).  The filter
 coefficients are real, so the whole recurrence runs on the n x 2k real
 block Y = [Re(y) | Im(y)] with y = Q* x / sqrt(2): the filter converts
 into it once at entry and back once at exit.  One product is one GEMM
@@ -24,10 +25,10 @@ the NT one that Y^T R issues (one thread, n = 512 to 2048, k = 32 to
 corrected filter must not depend on (see below).
 
 The recurrence runs in the dtype of the R it is handed: the solver passes
-a float32 copy of R, cast once per solve, so the GEMMs run as sgemm;
-without one it runs in float64 on the Hamiltonian's R.  The plain
-filter's float32 output is accurate to a small multiple of float32's unit
-roundoff relative to ||x||.
+the float32 R it builds once per solve from the blocks, so the GEMMs run
+as sgemm; without one the filter builds a float64 R for that call alone
+and drops it on return.  The plain filter's float32 output is accurate to
+a small multiple of float32's unit roundoff relative to ||x||.
 
 The corrected filter removes that floor on Ritz pairs (mixed-precision
 defect correction; Higham & Mary, Acta Numerica 31, 2022).  For a Ritz
@@ -54,7 +55,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .hamiltonian import BseHamiltonian, cached_real_form, from_real_block, to_real_block
+from .hamiltonian import (
+    BseHamiltonian,
+    from_real_block,
+    real_symmetric_form,
+    to_real_block,
+)
 from .lanczos import SpectralBounds
 from .metrics import PhaseLedger
 
@@ -116,14 +122,14 @@ def chebyshev_filter(
     ritz_values and residuals residual = H v - lam v: the recurrence runs on
     r' = residual + (lam - lam') v and the output is p(lam') v + q(H) r',
     degree - 1 GEMMs.  The recurrence runs in real_form.dtype, real_form
-    being R or a copy of it; without one it runs in float64 on the
-    Hamiltonian's R.
+    being R in some dtype; without one it runs in float64 on an R built for
+    this call.
     """
     x = np.asarray(vhat, dtype=np.complex128)
     if x.shape[0] != ham.n:
         raise ValidationError(f"operand has {x.shape[0]} rows, expected {ham.n}")
     cols = x if x.ndim == 2 else x[:, None]
-    r = cached_real_form(ham) if real_form is None else real_form
+    r = real_symmetric_form(ham) if real_form is None else real_form
     dtype = r.dtype
     m, k = ham.m, cols.shape[1]
     c, e = cfg.center, cfg.half_width

@@ -136,8 +136,10 @@ def write_pchb(path: str | Path, ham: BseHamiltonian) -> None:
     with open(path, "wb") as fh:
         fh.write(_PCHB_MAGIC)
         fh.write(struct.pack("<IQ", _FORMAT_VERSION, ham.m))
-        fh.write(np.asfortranarray(ham.a).astype("<c16").tobytes(order="F"))
-        fh.write(np.asfortranarray(ham.b).astype("<c16").tobytes(order="F"))
+        for block in (ham.a, ham.b):
+            # a view of the F-order complex128 block on a little-endian host:
+            # its buffer is written as it lies, with no copy
+            fh.write(np.asfortranarray(block, dtype="<c16").T.data)
 
 
 def read_pchb(path: str | Path) -> BseHamiltonian:

@@ -1,23 +1,24 @@
 """Block storage for BSE-type Hamiltonians and the implicit S/K/J operators.
 
 A Hamiltonian H = [[A, B], [-conj(B), -conj(A)]] with A hermitian and B
-symmetric is stored as its two m x m blocks (half the memory of the dense
-2m x 2m matrix), plus, once an H-product has run, the real symmetric
-n x n form R = Q* (S H) Q with Q = [[I, iI], [I, -iI]] / sqrt(2) (the same
-memory again).  It satisfies S H = H* S for the signature operator
-S = diag(I, -I), which is never formed: S, K = [[0, I], [I, 0]] and
-J = [[0, I], [-I, 0]] act by sign flips and half swaps.
+symmetric is stored as its two m x m blocks, half the memory of the dense
+2m x 2m matrix, and nothing else: no n x n array lives on a Hamiltonian.
+It satisfies S H = H* S for the signature operator S = diag(I, -I), which
+is never formed: S, K = [[0, I], [I, 0]] and J = [[0, I], [-I, 0]] act by
+sign flips and half swaps.
 
-Products run on R: H x = S Q R Q* x, where Q and Q* are sums and sign
-flips on the halves of x and R Q* x is one real GEMM, 4*n^2*k real FLOPs
-for k columns (the four complex m x m block products it replaces cost
-8*n^2*k).  R = R^T holds exactly because construction makes A exactly
-hermitian and B exactly symmetric; the product kernel relies on it.
-Since Q* S Q = i J, Q* H Q = i J R: the Chebyshev filter stays in the real
-block coordinates of `to_real_block` for a whole polynomial and converts
-back only at its end (see `chebyshev`).  R is the one n x n array a
-Hamiltonian keeps; a solve casts its own float32 copy for the filter and
-drops it on return.  The definiteness certificate (`is_definite`) forms no
+Products run on the blocks: H x = [s1; -conj(s2)] with
+[s1 | s2] = A [x1 | conj(x2)] + B [x2 | conj(x1)], two complex m x m by
+m x 2k GEMMs, 8*n^2*k real FLOPs for k columns.  The real symmetric n x n
+form R = Q* (S H) Q with Q = [[I, iI], [I, -iI]] / sqrt(2)
+(`real_symmetric_form`) is what the Chebyshev filter runs on.  Since
+Q* S Q = i J, Q* H Q = i J R: the filter stays in the real block
+coordinates of `to_real_block` for a whole polynomial and converts back
+only at its end (see `chebyshev`).  R = R^T holds exactly because
+construction makes A exactly hermitian and B exactly symmetric; the
+filter's GEMM relies on it.  R is built in the dtype its user asks for: a
+solve builds one float32 R, once its certificate passes, and drops it on
+return.  The definiteness certificate (`is_definite`) forms no
 n x n array: it is one Schur-complement step on the m x m blocks of R,
 formed directly from A and B.
 
@@ -142,10 +143,9 @@ class BseHamiltonian:
 
     A must be hermitian and B symmetric; defects up to SYMMETRY_RTOL times
     the block scale are repaired on construction.  The full matrix is only
-    materialized on explicit request.  The real symmetric form R that the
-    H-products run on is built on first use and kept (read-only) until the
-    Hamiltonian is dropped.  definiteness is read-only: only the
-    certificate of `is_definite` sets it.
+    materialized on explicit request, and no n x n array is kept.
+    definiteness is read-only: only the certificate of `is_definite` sets
+    it.
     """
 
     a: np.ndarray
@@ -153,7 +153,6 @@ class BseHamiltonian:
     _definiteness: Definiteness = field(
         default=Definiteness.UNKNOWN, init=False, repr=False, compare=False
     )
-    _r: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a = as_complex_matrix(self.a, "A")
@@ -256,20 +255,28 @@ def apply_h(
     ledger: PhaseLedger | None = None,
     phase: str = "filter",
 ) -> np.ndarray:
-    """H x = S Q R Q* x: one real n x n GEMM, 4*n^2*k real FLOPs for k columns.
+    """H x from the blocks: two complex m x m GEMMs, 8*n^2*k real FLOPs for k columns.
 
-    R Y for Y = to_real_block(x) is formed as (Y^T R)^T, the faster GEMM
-    orientation on OpenBLAS, which is R Y because R = R^T exactly; the
-    two 1/sqrt(2) factors of Q and Q* are the 1/2 of to_real_block.
+    With [s1 | s2] = A [x1 | conj(x2)] + B [x2 | conj(x1)], H x is
+    [s1; -conj(s2)]: the lower half -conj(B) x1 - conj(A) x2 is
+    -conj(A conj(x2) + B conj(x1)).  The GEMMs form the transpose,
+    [x1 | conj(x2)]^T A^T + [x2 | conj(x1)]^T B^T: for F-order blocks that
+    is the NN orientation, which ran 13-20 % faster than A [x1 | conj(x2)]
+    at m = 1024, k = 1 to 64 (OpenBLAS 0.3.31, two threads).
     """
     x = np.asarray(x, dtype=np.complex128)
     _check_rows(x, ham.n)
     cols = x if x.ndim == 2 else x[:, None]
-    y = to_real_block(cols)
-    out = from_real_block((y.T @ cached_real_form(ham)).T)  # (S H) x
-    out[ham.m:] *= -1.0  # H = S (S H)
+    m, k = ham.m, cols.shape[1]
+    x1, x2 = cols[:m].T, cols[m:].T
+    st = np.concatenate([x1, x2.conj()]) @ ham.a.T
+    st += np.concatenate([x2, x1.conj()]) @ ham.b.T
+    out = np.empty((ham.n, k), dtype=np.complex128, order="F")
+    out[:m] = st[:k].T
+    np.conjugate(st[k:].T, out=out[m:])
+    out[m:] *= -1.0
     if ledger is not None:
-        ledger.add_flops(phase, 4.0 * ham.n * ham.n * cols.shape[1])
+        ledger.add_flops(phase, 8.0 * ham.n * ham.n * k)
     return out.reshape(x.shape)
 
 
@@ -319,33 +326,25 @@ def validate_blocks(a, b) -> tuple[bool, float]:
     return defect <= SYMMETRY_RTOL * scale, defect
 
 
-def real_symmetric_form(ham: BseHamiltonian) -> np.ndarray:
-    """The real symmetric n x n matrix R unitarily similar to S H.
+def real_symmetric_form(ham: BseHamiltonian, dtype=np.float64) -> np.ndarray:
+    """The real symmetric n x n matrix R unitarily similar to S H, in dtype.
 
     R = [[Re(A+B), Im(B-A)], [Im(A+B), Re(A-B)]] equals Q* (S H) Q for the
     unitary Q = [[I, iI], [I, -iI]] / sqrt(2) (Shao, da Jornada, Yang,
     Deslippe & Lin, LAA 488, 2016), so it has the spectrum of S H at half
-    the storage of the complex form.  Filled block by block into one
-    Fortran-order float64 array.
+    the storage of the complex form.  Each block is summed in float64 and
+    written straight into one Fortran-order array of the requested dtype,
+    so a float32 R is the float64 one rounded, with no float64 copy made.
     """
     m = ham.m
     ar, ai = ham.a.real, ham.a.imag
     br, bi = ham.b.real, ham.b.imag
-    r = np.empty((ham.n, ham.n), dtype=np.float64, order="F")
+    r = np.empty((ham.n, ham.n), dtype=dtype, order="F")
     np.add(ar, br, out=r[:m, :m])
     np.subtract(bi, ai, out=r[:m, m:])
     np.add(ai, bi, out=r[m:, :m])
     np.subtract(ar, br, out=r[m:, m:])
     return r
-
-
-def cached_real_form(ham: BseHamiltonian) -> np.ndarray:
-    """R of ham, built on the first call and kept read-only on ham."""
-    if ham._r is None:
-        r = real_symmetric_form(ham)
-        r.flags.writeable = False
-        ham._r = r
-    return ham._r
 
 
 #: Row count at or below which `_forward_substitute` calls np.linalg.solve.

@@ -10,11 +10,13 @@ class PhaseLedger:
     """Accumulates modeled real FLOPs and wall seconds per solver phase.
 
     The model charges 8 real FLOPs per complex multiply-add, so a complex
-    GEMM of shape (p x q) * (q x r) costs 8*p*q*r, and 2 per real one: an
-    H-product on k columns is one real n x n times n x 2k GEMM, 4*n^2*k,
-    and the definiteness certificate, one Schur-complement step on the
-    m x m blocks of the real n x n form R (see `hamiltonian.is_definite`),
-    costs n^3/3, as a Cholesky of R would, without forming an n x n array.
+    GEMM of shape (p x q) * (q x r) costs 8*p*q*r, and 2 per real one: a
+    float64 H-product on k columns is two complex m x m times m x 2k GEMMs
+    on the blocks, 8*n^2*k; a filter step is one real n x n times n x 2k
+    GEMM on the real form R, 4*n^2*k; and the definiteness certificate,
+    one Schur-complement step on the m x m blocks of R (see
+    `hamiltonian.is_definite`), costs n^3/3, as a Cholesky of R would,
+    without forming an n x n array.
     """
 
     def __init__(self) -> None:

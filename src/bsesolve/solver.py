@@ -11,10 +11,14 @@ then the smallest ones still to lock, and take the largest of the rest
 whose residual is above the locking threshold, clamped to 0, or 0 when no
 value is left.
 
-The Chebyshev filter, most of a solve's time, runs in float32 on every
-iteration, on a float32 copy of R cast once per solve: sgemm runs up to
-about 1.7 times as fast as dgemm.  Iteration 1 filters the random start
-block directly.  Every later iteration filters the previous iteration's
+A solve holds A, B and one n x n array, the float32 real form R.  The
+Chebyshev filter, most of a solve's time, runs on it in float32 on every
+iteration: sgemm runs up to about 1.7 times as fast as dgemm.  R is built
+from the blocks once per solve, after the definiteness certificate passes
+(`hamiltonian.real_symmetric_form`), and dropped on return; the float64
+H-products (Lanczos, one per projection and the returned residuals) run
+on the blocks.  Iteration 1 filters the random start block directly.
+Every later iteration filters the previous iteration's
 Ritz vectors v through their residuals r = H v - lam v (mixed-precision
 defect correction; Higham & Mary, Acta Numerica 31, 2022): the recurrence
 runs in float32 on r' = r + (lam - lam') v and p(lam') v is added in
@@ -32,7 +36,10 @@ Y q(Lambda) c, a span(Y) term of the size of the locked residuals, which
 the same projection removes from the filtered block in `s_orthonormalize`.
 The sgemm runs in its faster NN orientation (see `chebyshev`).
 Orthonormalization, both Rayleigh-Ritz variants, the residuals, locking
-and Lanczos always run in float64.
+and Lanczos always run in float64.  Each iteration makes one float64
+H-product, H Q in the projection: the residuals read H V = (H Q) C from
+it (see `rayleigh_ritz`).  The residual norms a solve returns are
+recomputed with one H-product on the returned vectors.
 
 Every dense linear-algebra call on the solve path, the definiteness check
 included, goes through numpy.linalg.  numpy and scipy each bundle their
@@ -60,14 +67,15 @@ from .hamiltonian import (
     Definiteness,
     apply_k,
     apply_s,
-    cached_real_form,
     is_definite,
+    real_symmetric_form,
 )
 from .lanczos import SpectralBounds, estimate_bounds, update_cutoff
 from .metrics import PhaseLedger
 from .ortho import deflate_locked, s_orthonormalize
 from .rayleigh_ritz import (
     HermitianRqError,
+    RitzSet,
     build_backup_rq,
     build_hermitian_rq,
     lock_converged,
@@ -169,14 +177,14 @@ def solve(ham: BseHamiltonian, cfg: SolverConfig) -> SolveResult:
     n, nevex, tol = ham.n, cfg.nevex, cfg.tol
     ledger = PhaseLedger()
     with ledger.timing("definite"):
-        # the certificate runs on the m x m blocks; R, which every H-product
-        # of the solve runs on, is built once, after it certifies
+        # the certificate runs on the m x m blocks; the float32 R that every
+        # filter call of the solve runs on is built once, after it certifies
         factored = ham.definiteness is Definiteness.UNKNOWN
         if is_definite(ham) is not Definiteness.DEFINITE:
             raise IndefiniteError("solver requires S*H positive definite")
         if factored:
             ledger.add_flops("definite", n**3 / 3.0)
-        cached_real_form(ham)
+        r32 = real_symmetric_form(ham, np.float32)
     with ledger.timing("lanczos"):
         bounds = estimate_bounds(
             ham, nevex, cfg.lanczos_steps, rng.substream(cfg.seed, TAG_LANCZOS), ledger
@@ -187,14 +195,11 @@ def solve(ham: BseHamiltonian, cfg: SolverConfig) -> SolveResult:
         rng.substream(cfg.seed, TAG_SUBSPACE), n, nevex
     )
     locked_vals: list[float] = []
-    locked_res: list[float] = []
     locked_y = np.zeros((n, 0), dtype=np.complex128)
     trace: list[TraceRecord] = []
     backup_events = 0
-    converged = False
     iterations = 0
     current = bounds
-    r32 = None  # float32 copy of R, cast at the first filter call
     # Ritz values and residual block of the columns of vhat (none in row 1)
     vhat_values = vhat_residual = None
 
@@ -206,8 +211,6 @@ def solve(ham: BseHamiltonian, cfg: SolverConfig) -> SolveResult:
 
         fcfg = FilterConfig.from_bounds(current, cfg.deg)
         with ledger.timing("filter"):
-            if r32 is None:
-                r32 = cached_real_form(ham).astype(np.float32)
             if vhat_residual is not None and locked_y.shape[1]:
                 vhat_residual = deflate_locked(vhat_residual, locked_y, ledger, "filter")
             vhat = chebyshev_filter(
@@ -245,7 +248,12 @@ def solve(ham: BseHamiltonian, cfg: SolverConfig) -> SolveResult:
                 [locked_y, ritz.vectors[:, new_locked]], axis=1
             )
             locked_vals.extend(ritz.values[new_locked])
-            locked_res.extend(res[new_locked])
+        converged = len(locked_vals) >= cfg.nev
+        if converged or it == cfg.maxiter:
+            with ledger.timing("residuals"):
+                returned = _returned_pairs(
+                    ham, ritz, active_idx, locked_vals, locked_y, cfg.nev, ledger
+                )
 
         unlocked_res = res[active_idx]
         min_res = float(unlocked_res.min()) if unlocked_res.size else 0.0
@@ -272,8 +280,7 @@ def solve(ham: BseHamiltonian, cfg: SolverConfig) -> SolveResult:
             )
         )
 
-        if len(locked_vals) >= cfg.nev:
-            converged = True
+        if converged:
             break
 
         vhat = ritz.vectors[:, active_idx]
@@ -283,18 +290,10 @@ def solve(ham: BseHamiltonian, cfg: SolverConfig) -> SolveResult:
             current, vhat_values, res[active_idx], tol * normalizer, cfg.nev - len(locked_vals)
         )
 
-    # best effort: top up the locked pairs with the best active ones (none
-    # are missing when the solve converged)
-    missing = cfg.nev - len(locked_vals)
-    vals = np.concatenate([locked_vals, ritz.values[active_idx][:missing]])
-    vecs = np.concatenate([locked_y, ritz.vectors[:, active_idx[:missing]]], axis=1)
-    resid = np.concatenate([locked_res, res[active_idx][:missing]])
-
-    order = np.argsort(vals, kind="stable")
     return SolveResult(
-        lambdas=vals[order],
-        v=vecs[:, order],
-        residual_norms=resid[order],
+        lambdas=returned.values,
+        v=returned.vectors,
+        residual_norms=returned.residual_norms,
         iterations_used=iterations,
         converged=converged,
         trace=trace,
@@ -302,6 +301,30 @@ def solve(ham: BseHamiltonian, cfg: SolverConfig) -> SolveResult:
         ledger=ledger,
         backup_events=backup_events,
     )
+
+
+def _returned_pairs(
+    ham: BseHamiltonian,
+    ritz: RitzSet,
+    active_idx: np.ndarray,
+    locked_vals: list[float],
+    locked_y: np.ndarray,
+    nev: int,
+    ledger: PhaseLedger,
+) -> RitzSet:
+    """The pairs a solve returns, ascending, with their residuals recomputed.
+
+    Best effort: the locked pairs are topped up with the best active ones
+    (none are missing when the solve converged).  The residuals come from
+    one H-product on the returned vectors, not from the projection's H V.
+    """
+    missing = nev - len(locked_vals)
+    vals = np.concatenate([locked_vals, ritz.values[active_idx][:missing]])
+    vecs = np.concatenate([locked_y, ritz.vectors[:, active_idx[:missing]]], axis=1)
+    order = np.argsort(vals, kind="stable")
+    returned = RitzSet(values=vals[order], vectors=vecs[:, order])
+    residuals(ham, returned, ledger)
+    return returned
 
 
 @dataclass

@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -142,6 +145,29 @@ class TestPchb:
         p2 = tmp_path / "h2.pchb"
         fileio.write_pchb(p2, back)
         assert p.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("m", [1, 5, 130])
+    def test_bytes_are_the_little_endian_column_major_blocks(self, tmp_path, m):
+        ham = _ham(2, m)
+        p = tmp_path / "h.pchb"
+        fileio.write_pchb(p, ham)
+        expected = b"".join([
+            b"PCHB", struct.pack("<IQ", 1, m),
+            ham.a.astype("<c16").tobytes(order="F"),
+            ham.b.astype("<c16").tobytes(order="F"),
+        ])
+        assert p.read_bytes() == expected
+
+    def test_writing_copies_no_block(self, tmp_path):
+        ham = _ham(1, 256)
+        tracemalloc.start()
+        try:
+            fileio.write_pchb(tmp_path / "h.pchb", ham)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # astype plus tobytes allocated two copies of each block
+        assert peak < ham.a.nbytes / 4
 
     def test_magic_checked(self, tmp_path):
         p = tmp_path / "x.pchb"

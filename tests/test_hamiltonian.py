@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import tracemalloc
 
@@ -23,7 +24,6 @@ from bsesolve import (
 )
 from bsesolve import hamiltonian
 from bsesolve.hamiltonian import (
-    cached_real_form,
     max_abs,
     real_symmetric_form,
     symmetric_part,
@@ -132,8 +132,8 @@ class TestApplyH:
     def test_flop_model(self, ham_small):
         ledger = PhaseLedger()
         apply_h(ham_small, _rand(16, 3, 7), ledger, "filter")
-        # one real n x n times n x 2k GEMM
-        assert ledger.flops["filter"] == 4.0 * 16 * 16 * 3
+        # two complex m x m times m x 2k GEMMs: 2 * 8 m^2 (2k) = 8 n^2 k
+        assert ledger.flops == {"filter": 8.0 * 16 * 16 * 3}
 
     def test_zero_input(self, ham_small):
         out = apply_h(ham_small, np.zeros((16, 2)))
@@ -245,6 +245,23 @@ class TestValidateBlocks:
         a[0, 1] += 1e-3
         ok, defect = validate_blocks(a, ham_small.b)
         assert not ok and defect == pytest.approx(1e-3)
+
+    @pytest.mark.parametrize("case", ["exact", "repaired", "defective"])
+    def test_check_structure_matches_the_dense_check(self, case):
+        from bsesolve.verify import check_structure
+
+        m = 2 * hamiltonian._TILE + 3
+        a, b = _exact_blocks(m, 9)
+        if case == "repaired":  # a defect below SYMMETRY_RTOL, repaired on load
+            a = _perturbed(m, 9, True, "off_diagonal_tile", eps=1e-14)
+        ham = BseHamiltonian(a, b)
+        if case == "defective":  # blocks swapped in past the repair
+            ham.b = _perturbed(m, 9, False, "diagonal_tile")
+        ok, defect = validate_pseudo_hermitian(materialize(ham))
+        assert ok is (case != "defective")
+        check = check_structure(ham)
+        assert (check.passed, check.detail) == (ok, f"max defect {defect:.3e}")
+        assert validate_blocks(ham.a, ham.b) == (ok, defect)
 
     def test_shapes_checked(self):
         with pytest.raises(ValidationError):
@@ -464,34 +481,63 @@ class TestSchurCertificate:
         assert nbytes / 4 <= peak <= 1.25 * nbytes
 
 
-class TestCachedRealForm:
-    """R lives on a Hamiltonian from its first H-product until it is dropped."""
+def _big_arrays(ham):
+    """Arrays of n^2 or more elements held on ham."""
+    return [
+        v for v in vars(ham).values() if isinstance(v, np.ndarray) and v.size >= ham.n**2
+    ]
 
-    def test_built_by_the_first_product_and_read_only(self, ham_small):
-        assert ham_small._r is None
-        apply_h(ham_small, _rand(16, 2, 10))
-        r = ham_small._r
-        np.testing.assert_array_equal(r, real_symmetric_form(ham_small))
-        assert not r.flags.writeable
-        with pytest.raises(ValueError):
-            r[0, 0] = 1.0
-        apply_h(ham_small, _rand(16, 2, 11))
-        assert cached_real_form(ham_small) is r
+
+class TestCachedRealForm:
+    """A Hamiltonian caches no real form: it keeps its blocks only, and R is
+    built by its users, in the dtype they ask for."""
+
+    def test_fields_are_the_blocks_and_the_class(self):
+        names = [f.name for f in dataclasses.fields(BseHamiltonian)]
+        assert names == ["a", "b", "_definiteness"]
+
+    def test_products_keep_no_n_by_n_array(self, ham_small):
+        fresh = BseHamiltonian(ham_small.a, ham_small.b)
+        apply_h(fresh, _rand(16, 2, 10))
+        real_symmetric_form(fresh, np.float32)
+        assert _big_arrays(fresh) == []
+        assert set(vars(fresh)) <= {"a", "b", "_definiteness"}
+        assert not fresh.a.flags.writeable and not fresh.b.flags.writeable
 
     def test_generate_returns_no_real_form(self):
         ham = generate(GeneratorSpec(m=24, seed=3))
         assert ham.definiteness is Definiteness.DEFINITE
-        assert ham._r is None
+        assert _big_arrays(ham) == []
 
     def test_is_definite_keeps_no_real_form(self, ham_small):
         fresh = BseHamiltonian(ham_small.a, ham_small.b)
         assert is_definite(fresh) is Definiteness.DEFINITE
-        assert fresh._r is None
+        assert _big_arrays(fresh) == []
+
+    @pytest.mark.parametrize("m", [1, 7, 64, 100])
+    def test_float32_form_is_the_rounded_float64_form(self, m):
+        ham = generate(GeneratorSpec(m=m, seed=m))
+        r32 = real_symmetric_form(ham, np.float32)
+        assert r32.dtype == np.float32 and r32.flags.f_contiguous
+        np.testing.assert_array_equal(r32, real_symmetric_form(ham).astype(np.float32))
+
+    def test_float32_form_allocates_only_its_result(self):
+        ham = generate(GeneratorSpec(m=256, seed=0))
+        nbytes = 4 * ham.n**2  # the float32 result
+        tracemalloc.start()
+        try:
+            r32 = real_symmetric_form(ham, np.float32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r32.nbytes == nbytes
+        # a float64 R cast to float32 peaks at 3 * nbytes
+        assert peak <= 1.25 * nbytes
 
     def test_is_definite_builds_no_real_form(self, ham_small, monkeypatch):
         built = []
         monkeypatch.setattr(
-            hamiltonian, "real_symmetric_form", lambda ham: built.append(ham)
+            hamiltonian, "real_symmetric_form", lambda ham, dtype=None: built.append(ham)
         )
         fresh = BseHamiltonian(ham_small.a, ham_small.b)
         assert is_definite(fresh) is Definiteness.DEFINITE
