@@ -65,14 +65,6 @@ def direct_solve_definite(ham: BseHamiltonian) -> FullEigendecomposition:
     return FullEigendecomposition(lambdas=lambdas, v=v, u=sv, d=d)
 
 
-def residual_norms_dense(ham: BseHamiltonian, lambdas, vectors) -> np.ndarray:
-    """||H v_i - lambda_i v_i||_2 for a whole eigenvector block."""
-    from .hamiltonian import apply_h
-
-    r = apply_h(ham, vectors) - np.asarray(vectors) * np.asarray(lambdas)
-    return np.linalg.norm(r, axis=0)
-
-
 def cond_of_h(ham: BseHamiltonian) -> float:
     """lambda_max(SH) / lambda_min(SH); equals sigma_max(H) / sigma_min(H)."""
     import scipy.linalg as sla

@@ -20,7 +20,8 @@ filter's GEMM relies on it.  R is built in the dtype its user asks for: a
 solve builds one float32 R, once its certificate passes, and drops it on
 return.  The definiteness certificate (`is_definite`) forms no
 n x n array: it is one Schur-complement step on the m x m blocks of R,
-formed directly from A and B.
+formed directly from A and B.  `invert_lower` inverts every Cholesky
+factor bsesolve needs inverted, here, in CholQR2 and in the projection.
 
 Construction takes Fortran-order complex128 blocks without a copy and
 checks their symmetries by walking pairs of small tiles (`symmetry_defect`),
@@ -347,26 +348,29 @@ def real_symmetric_form(ham: BseHamiltonian, dtype=np.float64) -> np.ndarray:
     return r
 
 
-#: Row count at or below which `_forward_substitute` calls np.linalg.solve.
-_SOLVE_LEAF = 128
+#: Row count at or below which `invert_lower` calls numpy.linalg.inv.
+_INVERSE_LEAF = 128
 
 
-def _forward_substitute(lower: np.ndarray, x: np.ndarray) -> None:
-    """Overwrite x with L^{-1} x for the lower triangular L = lower, in place.
+def invert_lower(lower: np.ndarray) -> np.ndarray:
+    """Overwrite a square lower triangular factor with its inverse; returns it.
 
-    Recursive 2 x 2 block forward substitution: x1 <- L11^{-1} x1, then
-    x2 <- L22^{-1} (x2 - L21 x1).  The updates are GEMMs and the leaves of
-    at most _SOLVE_LEAF rows go to np.linalg.solve (numpy has no triangular
-    solve, and scipy's would load a second BLAS).
+    numpy has no triangular solve, and scipy's would load a second BLAS, so
+    every Cholesky factor bsesolve inverts goes through here.  Recursive
+    2 x 2 blocks: invert L11 and L22 in place, then L21 <- -L22^{-1} L21
+    L11^{-1} by two GEMMs; the block above the diagonal is never written.
+    Leaves of at most _INVERSE_LEAF rows go to numpy.linalg.inv, so up to
+    that size the result is numpy's inverse, bit for bit.
     """
     k = lower.shape[0]
-    if k <= _SOLVE_LEAF:
-        x[...] = np.linalg.solve(lower, x)
-        return
+    if k <= _INVERSE_LEAF:
+        lower[...] = np.linalg.inv(lower)
+        return lower
     h = k // 2
-    _forward_substitute(lower[:h, :h], x[:h])
-    x[h:] -= lower[h:, :h] @ x[:h]
-    _forward_substitute(lower[h:, h:], x[h:])
+    invert_lower(lower[:h, :h])
+    invert_lower(lower[h:, h:])
+    lower[h:, :h] = -(lower[h:, h:] @ lower[h:, :h]) @ lower[:h, :h]
+    return lower
 
 
 def is_definite(ham: BseHamiltonian) -> Definiteness:
@@ -377,19 +381,25 @@ def is_definite(ham: BseHamiltonian) -> Definiteness:
     the Schur complement Q - W^T W, W = L_P^{-1} C^T with P = L_P L_P^T.
     L_P, W^T and L_S with Q - W^T W = L_S L_S^T are the blocks of R's
     Cholesky factor [[L_P, 0], [W^T, L_S]], so this is one step of a blocked
-    Cholesky of R: m^3/3 + m^3 + m^3 (W^T W) + m^3/3 = n^3/3 FLOPs, as for
-    R itself.  Each piece is m x m, formed from A and B and dropped once
-    used, so the certificate never forms R or another n x n array.
+    Cholesky of R.  W is L_P^{-1} (`invert_lower`) times C^T, written over
+    C^T's buffer in two GEMMs: m^3/3 (L_P) + m^3/3 (L_P^{-1}) + 3 m^3/2 (W)
+    + m^3 (W^T W) + m^3/3 (L_S), about 3.5 m^3 FLOPs.  The ledger keeps the
+    n^3/3 = 2.7 m^3 of a Cholesky of R, the work the certificate stands for.
+    Each piece is m x m, formed from A and B and dropped once used, so the
+    certificate never forms R or another n x n array: it peaks at 2.5 real
+    m x m arrays (L_P^{-1}, W and one half-height GEMM result).
     """
     if ham.definiteness is not Definiteness.UNKNOWN:
         return ham.definiteness
     ar, ai = ham.a.real, ham.a.imag
     br, bi = ham.b.real, ham.b.imag
     try:
-        l_p = np.linalg.cholesky(ar + br)
+        l_inv = invert_lower(np.linalg.cholesky(ar + br))
         w = np.add(ai, bi).T  # C^T, C-contiguous; overwritten by W
-        _forward_substitute(l_p, w)
-        del l_p
+        h = ham.m // 2  # L_P^{-1} is lower: rows h: first, then rows :h in place
+        w[h:] = l_inv[h:] @ w
+        w[:h] = l_inv[:h, :h] @ w[:h]
+        del l_inv
         s = w.T @ w
         del w
         np.subtract(ar - br, s, out=s)

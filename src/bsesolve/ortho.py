@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import RankDeficiencyError
-from .hamiltonian import apply_s
+from .hamiltonian import apply_s, invert_lower
 from .metrics import PhaseLedger
 
 #: CholQR2 acceptance threshold on max|Q*Q - I|.
@@ -77,7 +77,7 @@ def cholqr_with_fallback(
         gram = (gram + gram.conj().T) / 2.0
         try:
             ell = np.linalg.cholesky(gram)  # gram = R* R with R = L*
-            q = q @ np.linalg.inv(ell).conj().T  # Q R^{-1}
+            q = q @ invert_lower(ell).conj().T  # Q R^{-1}
         except np.linalg.LinAlgError:
             method = "householder"
             break

@@ -302,6 +302,26 @@ class TestVerifyCommand:
         assert not ok
         assert f"FAIL  pseudo_hermitian_structure: max defect {defect:.3e}\n" in result.output
 
+    def test_blocks_rejected_on_their_own_scale_are_a_failed_check(self, runner, tmp_path):
+        # the structure check measures B's defect against max(|A|, |B|), the
+        # Hamiltonian against |B|: a 1e-11 defect on B ~ 1e-2 passes the
+        # first and fails the second, which is report content, not exit 2
+        g = np.random.default_rng(0)
+        c = g.standard_normal((8, 8)) + 1j * g.standard_normal((8, 8))
+        a = 1e3 * (c @ c.conj().T / 8 + np.eye(8))
+        d = g.standard_normal((8, 8)) + 1j * g.standard_normal((8, 8))
+        b = 1e-2 * (d + d.T) / 2
+        b[0, 1] += 1e-11
+        fileio.write_matrix_market(tmp_path / "A.mtx", a)
+        fileio.write_matrix_market(tmp_path / "B.mtx", b)
+        result = runner.invoke(
+            cli, ["verify", "--a", str(tmp_path / "A.mtx"), "--b", str(tmp_path / "B.mtx")],
+        )
+        assert result.exit_code == 0, result.output
+        assert "PASS  pseudo_hermitian_structure" in result.output
+        assert "FAIL  block_symmetry: B violates symmetry beyond tolerance" in result.output
+        assert "1/2 checks passed" in result.output
+
     @pytest.mark.parametrize("a, b", [
         (np.eye(2), np.eye(3)),
         (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.eye(2)),

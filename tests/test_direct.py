@@ -7,6 +7,7 @@ from bsesolve import (
     GeneratorSpec,
     IndefiniteError,
     NumericalError,
+    RitzSet,
     ValidationError,
     apply_s,
     cond_of_h,
@@ -15,9 +16,9 @@ from bsesolve import (
     direct_solve_definite,
     generate,
     materialize,
+    residuals,
     rho_sh,
 )
-from bsesolve.direct import residual_norms_dense
 
 from conftest import LAM2
 
@@ -47,7 +48,7 @@ class TestDirectSolve:
         ham = generate(GeneratorSpec(m=16, seed=3))
         eig = direct_solve_definite(ham)
         scale = rho_sh(ham)
-        assert residual_norms_dense(ham, eig.lambdas, eig.v).max() <= 1e-10 * scale
+        assert residuals(ham, RitzSet(values=eig.lambdas, vectors=eig.v)).max() <= 1e-10 * scale
         np.testing.assert_array_equal(eig.u, apply_s(eig.v))
         gram = eig.v.conj().T @ apply_s(eig.v)
         assert np.abs(gram - np.diag(eig.d)).max() <= 1e-10

@@ -24,6 +24,7 @@ from bsesolve import (
 )
 from bsesolve import hamiltonian
 from bsesolve.hamiltonian import (
+    invert_lower,
     max_abs,
     real_symmetric_form,
     symmetric_part,
@@ -389,7 +390,7 @@ class TestSchurCertificate:
     @pytest.mark.parametrize(
         "m, seed",
         [(m, seed) for m in (1, 2, 3, 5, 16, 33, 64) for seed in range(6)]
-        # past _SOLVE_LEAF rows the substitution recurses
+        # past 128 rows invert_lower recurses
         + [(129, 0), (129, 1), (300, 0), (300, 1)],
     )
     def test_matches_dense_cholesky(self, m, seed):
@@ -455,17 +456,6 @@ class TestSchurCertificate:
             assert _dense_class(scaled(t)) is expected
             assert is_definite(scaled(t)) is expected
 
-    @pytest.mark.parametrize("k", [1, 128, 129, 300, 513])
-    def test_forward_substitution(self, k):
-        g = np.random.default_rng(k)
-        f = g.standard_normal((k, k))
-        lower = np.linalg.cholesky(f @ f.T + k * np.eye(k))
-        x = g.standard_normal((k, 7))
-        w = x.copy()
-        hamiltonian._forward_substitute(lower, w)
-        np.testing.assert_allclose(lower @ w, x, rtol=0, atol=1e-12 * np.abs(x).max())
-        np.testing.assert_allclose(w, np.linalg.solve(lower, x), rtol=1e-10, atol=1e-12)
-
     def test_allocates_no_n_by_n_array(self):
         ham = generate(GeneratorSpec(m=256, seed=0))
         fresh = BseHamiltonian(ham.a, ham.b)
@@ -476,9 +466,46 @@ class TestSchurCertificate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # at least one m x m piece is traced (n^2/4 doubles); a dense
-        # Cholesky of R peaks at two n x n arrays
-        assert nbytes / 4 <= peak <= 1.25 * nbytes
+        # L_P^{-1}, W and one half-height GEMM result: 2.5 real m x m arrays
+        # (n^2/4 doubles each); W = L_P^{-1} C^T out of place would hold 3,
+        # and a dense Cholesky of R peaks at two n x n arrays (8 m x m)
+        assert nbytes / 4 <= peak <= 2.75 * nbytes / 4
+
+
+def _lower_factor(k, dtype, seed):
+    """A well-conditioned k x k lower triangular Cholesky factor in dtype."""
+    g = np.random.default_rng(seed)
+    f = g.standard_normal((k, k))
+    if dtype is np.complex128:
+        f = f + 1j * g.standard_normal((k, k))
+    return np.linalg.cholesky(f @ f.conj().T + k * np.eye(k))
+
+
+class TestInvertLower:
+    """invert_lower, the one kernel that inverts every Cholesky factor."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("k", [1, 2, 64, 128])
+    def test_leaf_is_numpy_inverse_bit_for_bit(self, k, dtype):
+        lower = _lower_factor(k, dtype, k)
+        expected = np.linalg.inv(lower)
+        np.testing.assert_array_equal(invert_lower(lower), expected)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("k", [129, 300, 513])
+    def test_recursion_is_accurate(self, k, dtype):
+        lower = _lower_factor(k, dtype, k)
+        inverse = invert_lower(lower.copy())
+        assert np.abs(lower @ inverse - np.eye(k)).max() <= 1e-14
+        assert np.abs(inverse - np.linalg.inv(lower)).max() <= 1e-13 * np.abs(inverse).max()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("k", [3, 129, 300])
+    def test_in_place_and_lower_triangular(self, k, dtype):
+        lower = _lower_factor(k, dtype, k)
+        out = invert_lower(lower)
+        assert out is lower
+        assert not np.triu(out, 1).any()
 
 
 def _big_arrays(ham):

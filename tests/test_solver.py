@@ -82,6 +82,21 @@ class TestSolve:
         assert np.abs(res.lambdas - eig.lambdas[:8]).max() <= 10 * cfg.tol * scale
         assert res.residual_norms.max() <= cfg.tol
 
+    def test_block_wider_than_the_inverse_leaf(self, monkeypatch):
+        # nev + nex = 144 columns: past 128 rows invert_lower recurses, in
+        # CholQR2 and in the hermitian projection
+        sizes = []
+        invert = hamiltonian.invert_lower
+
+        def recording(lower):
+            sizes.append(lower.shape[0])
+            return invert(lower)
+
+        monkeypatch.setattr(hamiltonian, "invert_lower", recording)
+        ham = generate(GeneratorSpec(m=160, seed=17))
+        _solve_and_check_oracle(ham, SolverConfig(nev=72, nex=72, seed=17))
+        assert 72 in sizes
+
     def test_deterministic_per_seed(self):
         ham = generate(GeneratorSpec(m=32, seed=4))
         cfg = SolverConfig(nev=4, seed=9)
