@@ -2,6 +2,11 @@
 
 Exit codes are a stable contract for pipelines: 0 success, 2 validation
 failure, 3 I/O failure, 4 numerical abort.
+
+The Matrix Market pair is read (solve, oracle, bench, verify --a/--b) and
+written (generate --format mm) in two processes, through `fileio.run_pair`:
+A in this process, B in one forked worker that parses, formats and hashes
+but never calls BLAS.  Output bytes are those of one process doing both.
 """
 
 from __future__ import annotations
@@ -78,13 +83,10 @@ def _load_hamiltonian(a_path, b_path, pchb_path) -> tuple[BseHamiltonian, dict[s
         return ham, {str(pchb_path): fileio.digest64(pchb_path)}
     if not (a_path and b_path):
         raise ValidationError("provide --a and --b, or --pchb")
-    ham = BseHamiltonian(
-        fileio.read_matrix_market(a_path), fileio.read_matrix_market(b_path)
+    (a, a_digest), (b, b_digest) = fileio.run_pair(
+        fileio.read_matrix_market_digest, (a_path,), (b_path,)
     )
-    return ham, {
-        str(a_path): fileio.digest64(a_path),
-        str(b_path): fileio.digest64(b_path),
-    }
+    return BseHamiltonian(a, b), {str(a_path): a_digest, str(b_path): b_digest}
 
 
 def _combined_digest(inputs: dict[str, str]) -> str:
@@ -107,8 +109,11 @@ def generate_cmd(m, seed, coupling_ratio, alpha, mode, fmt, out):
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if fmt == "mm":
-        fileio.write_matrix_market(out_dir / "A.mtx", ham.a, comment=f" resonant block, seed={seed}")
-        fileio.write_matrix_market(out_dir / "B.mtx", ham.b, comment=f" coupling block, seed={seed}")
+        fileio.run_pair(
+            fileio.write_matrix_market,
+            (out_dir / "A.mtx", ham.a, f" resonant block, seed={seed}"),
+            (out_dir / "B.mtx", ham.b, f" coupling block, seed={seed}"),
+        )
         outputs = ["A.mtx", "B.mtx"]
     else:
         fileio.write_pchb(out_dir / "ham.pchb", ham)
@@ -236,8 +241,7 @@ def verify_cmd(m, seed, coupling_ratio, alpha, mode, a_path, b_path):
         if not (a_path and b_path):
             raise ValidationError("--a and --b must be given together")
         # check the raw blocks before any symmetrization can repair them
-        a_raw = fileio.read_matrix_market(a_path)
-        b_raw = fileio.read_matrix_market(b_path)
+        a_raw, b_raw = fileio.run_pair(fileio.read_matrix_market, (a_path,), (b_path,))
         ok, defect = validate_blocks(a_raw, b_raw)
         checks.append(
             PropertyCheck("pseudo_hermitian_structure", ok, f"max defect {defect:.3e}")

@@ -4,6 +4,11 @@ All text formats round-trip bit-exactly: floats are written with 17
 significant digits, which reparse to the identical double, so
 write -> read -> write is byte identical.  Binary layouts are little
 endian and column major.  docs/FORMATS.md holds the byte-level contract.
+
+Formatting or parsing a Matrix Market file is Python and numpy text work
+on one core.  The CLI reads and writes the A/B pair in two processes with
+`run_pair`: the first file in the calling process, the second in one forked
+worker.  The worker only parses, formats and hashes, and never calls BLAS.
 """
 
 from __future__ import annotations
@@ -39,6 +44,30 @@ def digest64(path: str | Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def run_pair(fn, first: tuple, second: tuple) -> tuple:
+    """(fn(*first), fn(*second)), the second call in a forked worker process.
+
+    fn, its arguments and its result must pickle.  An exception from either
+    call is raised here with its type and message, the first call's first.
+    The worker is forked, not spawned, so that it inherits the imports: a
+    spawned one would import numpy again, about 0.25 s.  The forked child
+    holds only the forking thread, none of OpenBLAS's, so fn must not call
+    BLAS; Python >= 3.12 warns (DeprecationWarning) about forking a process
+    that has threads.  Where fork does not exist, both calls run here, one
+    after the other.
+    """
+    # imported here: about 12 ms that only the Matrix Market pair pays
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return fn(*first), fn(*second)
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+        later = pool.submit(fn, *second)
+        return fn(*first), later.result()
 
 
 # ---------------------------------------------------------------- matrix market
@@ -77,7 +106,9 @@ def _parse_entries(fh, count: int) -> np.ndarray:
 
 def read_matrix_market(path: str | Path) -> np.ndarray:
     """Read a complex array Matrix Market file written by this package."""
-    with open(path) as fh:
+    # latin-1 decodes every byte, so a comment line is free text and consumed
+    # counts bytes (less the \r of a \r\n, which universal newlines drop)
+    with open(path, encoding="latin-1") as fh:
         header = fh.readline()
         consumed = len(header)
         header = header.strip()
@@ -98,9 +129,8 @@ def read_matrix_market(path: str | Path) -> np.ndarray:
         if rows < 0 or cols < 0:
             raise ValidationError(f"malformed size line: {line!r}")
         count = rows * cols
-        # consumed counts characters, never more than the bytes they took; an
-        # entry line takes at least 4 bytes ("x y" and its newline, which the
-        # last line may lack): reject what cannot fit before allocating
+        # an entry line takes at least 4 bytes ("x y" and its newline, which
+        # the last line may lack): reject what cannot fit before allocating
         remaining = os.fstat(fh.fileno()).st_size - consumed
         if count and 4 * count - 1 > remaining:
             raise ValidationError(
@@ -113,6 +143,11 @@ def read_matrix_market(path: str | Path) -> np.ndarray:
             pairs[start:stop] = _parse_entries(fh, stop - start)
     data = pairs.view(np.complex128).reshape(count)
     return np.asfortranarray(data.reshape((rows, cols), order="F"))
+
+
+def read_matrix_market_digest(path: str | Path) -> tuple[np.ndarray, str]:
+    """read_matrix_market(path) and digest64(path), the CLI's job per input file."""
+    return read_matrix_market(path), digest64(path)
 
 
 # ------------------------------------------------------------------ pchb binary

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import bsesolve
-from bsesolve import GeneratorSpec, SolverConfig, generate
+from bsesolve import BseHamiltonian, GeneratorSpec, SolverConfig, generate, solve
 from bsesolve import fileio
 from bsesolve.cli import cli
 
@@ -197,6 +198,94 @@ class TestMatrixMarketInput:
         )
         assert result.exit_code == 2, result.output
         assert "cannot fit" in result.output
+
+
+def _solve(runner, a, b, out):
+    return runner.invoke(
+        cli, ["solve", "--a", str(a), "--b", str(b), "--nev", "1", "--out", str(out)],
+    )
+
+
+def _eigenvalue_rows(out):
+    text = (out / "eigenvalues.csv").read_text()
+    return [line for line in text.splitlines() if not line.startswith("#")]
+
+
+class TestMatrixMarketPair:
+    """The pair is read and written in two processes: B in a forked worker."""
+
+    def test_non_utf8_comment_is_free_text(self, runner, tmp_path):
+        a, b = _generate_inputs(runner, tmp_path / "in", m=4, seed=0)
+        clean = _solve(runner, a, b, tmp_path / "clean")
+        assert clean.exit_code == 0, clean.output
+        header, rest = b.read_bytes().split(b"\n", 1)
+        b.write_bytes(header + b"\n%caf\xe9\n" + rest)
+        result = _solve(runner, a, b, tmp_path / "out")
+        assert result.exit_code == 0, result.output
+        assert _eigenvalue_rows(tmp_path / "out") == _eigenvalue_rows(tmp_path / "clean")
+
+    @pytest.mark.parametrize("name", ["A.mtx", "B.mtx"])
+    def test_non_utf8_byte_in_a_number_is_validation_error(self, runner, tmp_path, name):
+        _generate_inputs(runner, tmp_path / "in", m=4, seed=0)
+        p = tmp_path / "in" / name
+        lines = p.read_bytes().split(b"\n")
+        lines[3] = lines[3][:3] + b"\xff" + lines[3][3:]  # inside the first entry's real part
+        p.write_bytes(b"\n".join(lines))
+        result = _solve(runner, tmp_path / "in" / "A.mtx", tmp_path / "in" / "B.mtx",
+                        tmp_path / "out")
+        assert result.exit_code == 2, result.output
+        assert "error: malformed entry" in result.output
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("name", ["A.mtx", "B.mtx"])
+    def test_truncated_file_is_validation_error(self, runner, tmp_path, name):
+        _generate_inputs(runner, tmp_path / "in", m=4, seed=0)
+        p = tmp_path / "in" / name
+        p.write_bytes(p.read_bytes().rsplit(b"\n", 2)[0] + b"\n")  # drop the last entry
+        result = _solve(runner, tmp_path / "in" / "A.mtx", tmp_path / "in" / "B.mtx",
+                        tmp_path / "out")
+        assert result.exit_code == 2, result.output
+        assert "error: truncated: 15 of the next 16 entry lines\n" in result.output
+        assert multiprocessing.active_children() == []
+
+    def test_missing_b_is_io_error(self, runner, tmp_path):
+        a, b = _generate_inputs(runner, tmp_path / "in", m=4, seed=0)
+        b.unlink()
+        result = _solve(runner, a, b, tmp_path / "out")
+        assert result.exit_code == 3, result.output
+        assert f"i/o error: [Errno 2] No such file or directory: '{b}'" in result.output
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["fork", "no_fork"])
+    def test_bytes_equal_one_process_doing_both(self, runner, tmp_path, monkeypatch, fork):
+        if not fork:
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        a, b = _generate_inputs(runner, tmp_path / "in", m=8, seed=3)
+        assert multiprocessing.active_children() == []
+        ham = generate(GeneratorSpec(m=8, seed=3))
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        fileio.write_matrix_market(ref / "A.mtx", ham.a, " resonant block, seed=3")
+        fileio.write_matrix_market(ref / "B.mtx", ham.b, " coupling block, seed=3")
+        assert a.read_bytes() == (ref / "A.mtx").read_bytes()
+        assert b.read_bytes() == (ref / "B.mtx").read_bytes()
+
+        out = tmp_path / "out"
+        result = runner.invoke(
+            cli, ["solve", "--a", str(a), "--b", str(b), "--nev", "3", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        assert multiprocessing.active_children() == []
+        loaded = BseHamiltonian(fileio.read_matrix_market(a), fileio.read_matrix_market(b))
+        solved = solve(loaded, SolverConfig(nev=3))
+        digest = "+".join(fileio.digest64(p) for p in sorted((a, b), key=str))
+        fileio.write_eigenvalues_csv(
+            ref / "eigenvalues.csv", solved.lambdas, solved.residual_norms, digest,
+            converged=solved.converged,
+        )
+        fileio.write_pchv(ref / "eigenvectors.bin", solved.v)
+        for name in ("eigenvalues.csv", "eigenvectors.bin"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes()
 
 
 class TestOracleCommand:

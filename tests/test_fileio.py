@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+import re
 import struct
 import tracemalloc
 
@@ -115,6 +118,62 @@ class TestMatrixMarket:
         p = tmp_path / "short_lines.mtx"
         p.write_text("%%MatrixMarket matrix array complex general\n2 1\n1 2\n3 4")
         np.testing.assert_array_equal(fileio.read_matrix_market(p), [[1 + 2j], [3 + 4j]])
+
+    def test_non_utf8_comment_is_free_text(self, tmp_path):
+        p = tmp_path / "latin.mtx"
+        p.write_bytes(b"%%MatrixMarket matrix array complex general\n%caf\xe9 \xff\n1 1\n1 2\n")
+        np.testing.assert_array_equal(fileio.read_matrix_market(p), [[1 + 2j]])
+
+    @pytest.mark.parametrize("entry", [b"1.\xff0 2.0", b"1.0 2.0\xff", b"1.\xa00 2.0"],
+                             ids=["ff_in_a_number", "ff_after_a_number", "a0_in_a_number"])
+    def test_non_utf8_byte_in_an_entry_rejected(self, tmp_path, entry):
+        p = tmp_path / "latin.mtx"
+        p.write_bytes(b"%%MatrixMarket matrix array complex general\n1 1\n" + entry + b"\n")
+        with pytest.raises(ValidationError):
+            fileio.read_matrix_market(p)
+
+    def test_a0_between_numbers_separates_them(self, tmp_path):
+        # latin-1 decodes 0xA0 to U+00A0, which loadtxt splits on as whitespace
+        p = tmp_path / "nbsp.mtx"
+        p.write_bytes(b"%%MatrixMarket matrix array complex general\n1 1\n1.0\xa02.0\n")
+        np.testing.assert_array_equal(fileio.read_matrix_market(p), [[1 + 2j]])
+
+
+class TestRunPair:
+    def test_results_come_back_in_argument_order(self):
+        assert fileio.run_pair(divmod, (7, 2), (9, 4)) == ((3, 1), (2, 1))
+        here, worker = fileio.run_pair(os.getpid, (), ())
+        assert here == os.getpid() != worker
+        assert multiprocessing.active_children() == []
+
+    def test_exceptions_keep_type_and_message_from_either_side(self, tmp_path):
+        good, bad = tmp_path / "good.mtx", tmp_path / "bad.mtx"
+        fileio.write_matrix_market(good, np.eye(2))
+        bad.write_text("%%MatrixMarket matrix array complex general\n2 1\n1.0 2.0\n")
+        missing = tmp_path / "missing.mtx"
+        read = fileio.read_matrix_market
+        for args in ((bad,), (good,)), ((good,), (bad,)):
+            with pytest.raises(ValidationError, match="^truncated: 1 of the next 2 entry lines$"):
+                fileio.run_pair(read, *args)
+        with pytest.raises(FileNotFoundError, match=re.escape(str(missing))):
+            fileio.run_pair(read, (good,), (missing,))
+        with pytest.raises(FileNotFoundError):  # both fail: the first call's error
+            fileio.run_pair(read, (missing,), (bad,))
+        assert multiprocessing.active_children() == []
+
+    def test_without_fork_both_calls_run_here(self, tmp_path, monkeypatch):
+        paths = tmp_path / "a.mtx", tmp_path / "b.mtx"
+        ham = _ham(4, m=6)
+        fileio.run_pair(fileio.write_matrix_market, (paths[0], ham.a), (paths[1], ham.b))
+        forked = fileio.run_pair(fileio.read_matrix_market_digest, (paths[0],), (paths[1],))
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert fileio.run_pair(os.getpid, (), ()) == (os.getpid(), os.getpid())
+        here = fileio.run_pair(fileio.read_matrix_market_digest, (paths[0],), (paths[1],))
+        for (block, digest), (block_here, digest_here), ref, path in zip(
+            forked, here, (ham.a, ham.b), paths
+        ):
+            assert block.tobytes() == block_here.tobytes() == np.asfortranarray(ref).tobytes()
+            assert digest == digest_here == fileio.digest64(path)
 
 
 def _truncations(path, header_bytes):
