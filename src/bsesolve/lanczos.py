@@ -11,6 +11,17 @@ The spectrum is symmetric about zero, so the step count is kept even, the
 upper bound is the reflection mu_n = -mu_1, and the density cutoff
 mu_nevex integrates the Ritz-weight distribution over the negative axis
 only.
+
+The Gauss weights of the tridiagonal describe the spectral measure of the
+start vector in the S H inner product, not a count of eigenvalues.  With
+q = sum_j c_j v_j and v_j* S v_j = sign(lam_j), eigenvalue lam_j carries
+the weight |c_j|^2 lam_j v_j* S v_j / ||q||^2_SH = |c_j|^2 |lam_j| /
+||q||^2_SH: a random start weights each eigenvalue by |lam|, so a cutoff
+read from these weights lands among the deep, large-|lam| targets (24 %
+too deep at the median over 100 m = 64 instances).  `_density_cutoff`
+divides each weight by |theta_i| and renormalizes, which estimates the
+counting measure (Lin, Saad & Yang, SIAM Review 58(1), 2016).
+`SpectralBounds.ritz_weights` keeps the raw Gauss weights, which sum to 1.
 """
 
 from __future__ import annotations
@@ -92,8 +103,9 @@ def estimate_bounds(
     """Estimate mu_1, mu_nevex and mu_n from a few Lanczos steps.
 
     mu_1 is the smallest Ritz value inflated by SAFETY_INFLATION, mu_n its
-    reflection, and mu_nevex the density cutoff where the cumulative Ritz
-    weight over the negative nodes reaches nevex/n.  Breakdown before
+    reflection, and mu_nevex the density cutoff where the cumulative
+    counting weight over the negative nodes reaches nevex/n (see
+    `_density_cutoff`).  Breakdown before
     min(4, steps, n) completed steps restarts from a fresh seeded vector,
     at most MAX_RESTARTS times.
     """
@@ -140,20 +152,27 @@ def estimate_bounds(
 
 
 def _density_cutoff(theta: np.ndarray, weights: np.ndarray, nevex: int, n: int) -> float:
-    """Cutoff where the cumulative Ritz weight reaches nevex/n.
+    """Cutoff where the cumulative counting weight reaches nevex/n.
 
-    The crossing is located on the negative nodes; the cutoff is then the
-    midpoint between the crossing node and its upper neighbor, so that the
-    boundary falls between Ritz clusters rather than on top of one (a node
-    sits at the deep end of the cluster it represents, and a cutoff on the
-    node itself would leave the boundary eigenvectors with no filter
-    contrast).
+    weights are the Gauss weights of the S H measure, which weight each
+    eigenvalue by |lam| (see the module docstring); dividing each by
+    |theta_i| and renormalizing gives counting weights.  A node at exactly
+    0 gets no weight (its S H weight carries no count to recover), and
+    with no nonzero node the cutoff is 0.  The crossing is located on the
+    negative nodes; the cutoff is then the midpoint between the crossing
+    node and its upper neighbor, so that the boundary falls between Ritz
+    clusters rather than on top of one (a node sits at the deep end of the
+    cluster it represents, and a cutoff on the node itself would leave the
+    boundary eigenvectors with no filter contrast).
     """
     negative = theta < 0
-    if not negative.any():
+    scale = np.abs(theta)
+    counting = np.divide(weights, scale, out=np.zeros_like(weights), where=scale > 0)
+    total = counting.sum()
+    if not negative.any() or not total > 0:
         return 0.0
     target = nevex / n
-    cumulative = np.cumsum(weights[negative])
+    cumulative = np.cumsum(counting[negative] / total)
     crossed = np.nonzero(cumulative >= target)[0]
     j = int(crossed[0]) if crossed.size else int(negative.sum()) - 1
     if j + 1 < theta.shape[0]:
@@ -170,16 +189,17 @@ def update_cutoff(
 ) -> SpectralBounds:
     """Move mu_nevex to the largest Ritz value that still needs the filter.
 
-    The one cutoff rule of a solve.  Values below mu_1 are dropped first
-    (they are spurious, from a near-singular Q*SQ), then the targets
-    smallest of the rest (the pairs still to lock: a cutoff on a target
-    leaves the filter no contrast there), then those whose residual is at
-    or below floor (the locking threshold).  The largest value left is
-    clamped to 0: the targets all lie on the negative axis (nev + nex <=
-    n/2 with a symmetric spectrum), and a cutoff at 0 widens the passband
-    to the whole target half axis until the subspace has purged its
-    positive-side components.  With no value left the cutoff is 0.  mu_1
-    and mu_n stay fixed for the whole solve.
+    The cutoff rule of a solve from its third filter call on (the first
+    uses the density cutoff, the second 0; see `solver`).  Values below
+    mu_1 are dropped first (they are spurious, from a near-singular Q*SQ),
+    then the targets smallest of the rest (the pairs still to lock: a
+    cutoff on a target leaves the filter no contrast there), then those
+    whose residual is at or below floor (the locking threshold).  The
+    largest value left is clamped to 0: the targets all lie on the
+    negative axis (nev + nex <= n/2 with a symmetric spectrum), and a
+    cutoff at 0 keeps the whole target half axis in the passband, as the
+    second call's positive-half purge does.  With no value left the cutoff
+    is 0.  mu_1 and mu_n stay fixed for the whole solve.
     """
     values = np.asarray(ritz_values, dtype=np.float64)
     order = np.argsort(values, kind="stable")

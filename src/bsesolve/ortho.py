@@ -9,6 +9,8 @@ eigenvectors it removes exactly their eigen-components and leaves every
 other component alone.  The solver calls it on the residual block before
 each corrected filter call, and `s_orthonormalize` on the filtered block
 before its QR; the locked vectors themselves stay frozen as they converged.
+Both calls of an iteration read one `LockedSet`, which holds (S Y)* and
+the Gram Y* S Y; the solver forms it once each time Y grows.
 
 Column orthonormalization runs CholeskyQR twice and falls back to
 Householder QR when the Gram factorization fails or the orthogonality
@@ -16,6 +18,8 @@ check exceeds the fallback threshold.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,36 +94,61 @@ def cholqr_with_fallback(
     return fix_column_phases(q), method
 
 
+class LockedSet(NamedTuple):
+    """The locked vectors Y with (S Y)* and the Gram Y* S Y."""
+
+    y: np.ndarray
+    sy_h: np.ndarray
+    gram: np.ndarray
+
+
+def locked_set(
+    locked_y: np.ndarray, ledger: PhaseLedger | None = None, phase: str = "ortho"
+) -> LockedSet:
+    """Form (S Y)* and Y* S Y once, for every deflation until Y changes.
+
+    Charged to `phase`, 8 n l^2 FLOPs for l locked vectors.
+    """
+    sy_h = apply_s(locked_y).conj().T
+    if ledger is not None:
+        n, l = locked_y.shape
+        ledger.add_flops(phase, 8.0 * n * l * l)
+    return LockedSet(locked_y, sy_h, sy_h @ locked_y)
+
+
 def deflate_locked(
     block: np.ndarray,
-    locked_y: np.ndarray,
+    locked: LockedSet | np.ndarray,
     ledger: PhaseLedger | None = None,
     phase: str = "filter",
 ) -> np.ndarray:
     """block - Y (Y* S Y)^{-1} (S Y)* block, with Y the locked vectors.
 
-    The result is orthogonal to S Y.  Charged to `phase`, 8 n l (l + 2 k)
-    FLOPs for l locked and k block columns.
+    The result is orthogonal to S Y.  locked is a `LockedSet`, or Y itself,
+    whose Gram this call then forms (`locked_set`).  Charged to `phase`,
+    16 n l k FLOPs for l locked and k block columns, plus the Gram's.
     """
-    sy_h = apply_s(locked_y).conj().T
-    coeff = np.linalg.solve(sy_h @ locked_y, sy_h @ block)
+    if not isinstance(locked, LockedSet):
+        locked = locked_set(locked, ledger, phase)
+    coeff = np.linalg.solve(locked.gram, locked.sy_h @ block)
     if ledger is not None:
-        n, l = locked_y.shape
-        ledger.add_flops(phase, 8.0 * n * l * (l + 2.0 * block.shape[1]))
-    return block - locked_y @ coeff
+        n, l = locked.y.shape
+        ledger.add_flops(phase, 16.0 * n * l * block.shape[1])
+    return block - locked.y @ coeff
 
 
 def s_orthonormalize(
     vhat,
-    locked_y=None,
+    locked: LockedSet | np.ndarray | None = None,
     ledger: PhaseLedger | None = None,
 ) -> tuple[np.ndarray, str]:
     """Deflate the locked vectors Y from vhat, then orthonormalize its columns.
 
-    Returns the orthonormal active block, orthogonal to S Y, and the QR
-    method that ran.
+    locked is a `LockedSet` or Y itself.  Returns the orthonormal active
+    block, orthogonal to S Y, and the QR method that ran.
     """
     v = np.asarray(vhat, dtype=np.complex128)
-    if locked_y is not None and locked_y.shape[1]:
-        v = deflate_locked(v, locked_y, ledger, "ortho")
+    y = locked.y if isinstance(locked, LockedSet) else locked
+    if y is not None and y.shape[1]:
+        v = deflate_locked(v, locked, ledger, "ortho")
     return cholqr_with_fallback(v, ledger)

@@ -5,11 +5,18 @@ Each iteration filters only the non-locked columns, deflates the locked
 vectors from them and orthonormalizes them (`ortho`), extracts Ritz pairs
 with the hermitian-equivalent projection (falling back to the
 non-hermitian one on its rare failures), locks the converged smallest
-pairs and moves the filter cutoff with `lanczos.update_cutoff`, the one
-cutoff rule: drop the active Ritz values below mu_1 (spurious values) and
-then the smallest ones still to lock, and take the largest of the rest
-whose residual is above the locking threshold, clamped to 0, or 0 when no
-value is left.
+pairs and moves the filter cutoff.  Row 1 filters with the Lanczos
+density cutoff (`lanczos.estimate_bounds`).  Row 2 filters with cutoff 0,
+the positive-half purge: the passband is the whole negative half axis, so
+whatever components of the positive half the random start block still
+carries are damped before any Ritz value can settle among them.  Without
+it a spurious Ritz value left over from row 1 can sit at the bottom of the
+active block and hold up locking (generator and solver seed 24, m = 256,
+nev = nex = 16 ran to 25 iterations).  From row 3 on the cutoff is
+`lanczos.update_cutoff`'s: drop the active Ritz values below mu_1
+(spurious values) and then the smallest ones still to lock, and take the
+largest of the rest whose residual is above the locking threshold,
+clamped to 0, or 0 when no value is left.
 
 A solve holds A, B and one n x n array, the float32 real form R.  The
 Chebyshev filter, most of a solve's time, runs on it in float32 on every
@@ -25,7 +32,9 @@ runs in float32 on r' = r + (lam - lam') v and p(lam') v is added in
 float64 (see `chebyshev`), so the float32 rounding scales with ||r'||, not
 with ||v||.  Before each corrected call the locked eigen-components leave
 the residual block: r <- r - Y (Y* S Y)^{-1} (S Y)* r with Y the locked
-vectors (`ortho.deflate_locked`).  With exact locked eigenvectors r has
+vectors (`ortho.deflate_locked`; (S Y)* and Y* S Y are formed once each
+time Y grows, `ortho.locked_set`, and read by both of an iteration's
+deflations).  With exact locked eigenvectors r has
 none; the locked pairs' own residuals put some in, at about tol.  q is
 about 1 / (t - lam') at a locked eigenvalue t, where p is near 1, but only
 about p(lam') / (t - lam') on the damped interval, so those components set
@@ -72,7 +81,7 @@ from .hamiltonian import (
 )
 from .lanczos import SpectralBounds, estimate_bounds, update_cutoff
 from .metrics import PhaseLedger
-from .ortho import deflate_locked, s_orthonormalize
+from .ortho import LockedSet, deflate_locked, locked_set, s_orthonormalize
 from .rayleigh_ritz import (
     HermitianRqError,
     RitzSet,
@@ -196,6 +205,7 @@ def solve(ham: BseHamiltonian, cfg: SolverConfig) -> SolveResult:
     )
     locked_vals: list[float] = []
     locked_y = np.zeros((n, 0), dtype=np.complex128)
+    locked: LockedSet | None = None  # locked_y with its Gram, once any lock
     trace: list[TraceRecord] = []
     backup_events = 0
     iterations = 0
@@ -211,13 +221,13 @@ def solve(ham: BseHamiltonian, cfg: SolverConfig) -> SolveResult:
 
         fcfg = FilterConfig.from_bounds(current, cfg.deg)
         with ledger.timing("filter"):
-            if vhat_residual is not None and locked_y.shape[1]:
-                vhat_residual = deflate_locked(vhat_residual, locked_y, ledger, "filter")
+            if vhat_residual is not None and locked is not None:
+                vhat_residual = deflate_locked(vhat_residual, locked, ledger, "filter")
             vhat = chebyshev_filter(
                 ham, vhat, fcfg, ledger, vhat_values, vhat_residual, real_form=r32
             )
         with ledger.timing("ortho"):
-            q, _ = s_orthonormalize(vhat, locked_y, ledger)
+            q, _ = s_orthonormalize(vhat, locked, ledger)
 
         variant = "backup" if cfg.rr_variant == "backup" else "hermitian"
         with ledger.timing("rr"):
@@ -254,6 +264,9 @@ def solve(ham: BseHamiltonian, cfg: SolverConfig) -> SolveResult:
                 returned = _returned_pairs(
                     ham, ritz, active_idx, locked_vals, locked_y, cfg.nev, ledger
                 )
+        elif new_locked.size:
+            with ledger.timing("ortho"):
+                locked = locked_set(locked_y, ledger)
 
         unlocked_res = res[active_idx]
         min_res = float(unlocked_res.min()) if unlocked_res.size else 0.0
@@ -286,9 +299,12 @@ def solve(ham: BseHamiltonian, cfg: SolverConfig) -> SolveResult:
         vhat = ritz.vectors[:, active_idx]
         vhat_values = ritz.values[active_idx]
         vhat_residual = ritz.residual_vectors[:, active_idx]
-        current = update_cutoff(
-            current, vhat_values, res[active_idx], tol * normalizer, cfg.nev - len(locked_vals)
-        )
+        if it == 1:
+            current = replace(bounds, mu_nevex=0.0)  # the positive-half purge
+        else:
+            current = update_cutoff(
+                current, vhat_values, res[active_idx], tol * normalizer, cfg.nev - len(locked_vals)
+            )
 
     return SolveResult(
         lambdas=returned.values,

@@ -257,7 +257,7 @@ class TestCorrectedFilter:
         ham = generate(GeneratorSpec(m=256, seed=13))
         res = solve(ham, SolverConfig(nev=16))
         assert res.lambdas[0] < res.bounds.mu_1
-        assert res.converged and res.iterations_used == 5
+        assert res.converged and res.iterations_used == 4
 
     def test_backup_projection_purges_after_row_2(self):
         # clipping the shift to mu_1 - e/4 (no shift to c below it) let a

@@ -135,10 +135,10 @@ class TestSolve:
         assert res.iterations_used == 1
         assert res.lambdas.shape == (4,) and res.v.shape == (64, 4)
         assert len(res.trace) == 1
-        # two of four pairs lock: the result tops them up with the best
+        # one of four pairs locks: the result tops it up with the three best
         # active pairs, sorted, with the residuals of the returned vectors
         res = solve(ham, SolverConfig(nev=4, seed=8, maxiter=2))
-        assert not res.converged and res.trace[-1].locked == 2
+        assert not res.converged and res.trace[-1].locked == 1
         assert np.all(np.diff(res.lambdas) > 0)
         r = apply_h(ham, res.v) - res.v * res.lambdas
         np.testing.assert_array_equal(res.residual_norms, np.linalg.norm(r, axis=0))
@@ -599,6 +599,71 @@ class TestDeflateLocked:
         assert np.abs(out - rest).max() <= 1e-12 * np.abs(rest).max()
         assert np.abs(apply_s(locked).conj().T @ out).max() <= 1e-12
         assert ledger.flops == {"filter": 8.0 * 32 * 3 * (3 + 2 * 5)}
+
+
+    def test_solve_forms_each_gram_once_and_deflates_bit_for_bit(self, monkeypatch):
+        # both deflations of a row read one LockedSet, formed once after
+        # the lock that grew Y, and give the per-call function's blocks
+        per_call, form = ortho.deflate_locked, ortho.locked_set
+        formed, read = [], []
+
+        def spy_form(locked_y, *args):
+            formed.append(form(locked_y, *args))
+            return formed[-1]
+
+        def spy_deflate(block, locked, *args):
+            out = per_call(block, locked, *args)
+            np.testing.assert_array_equal(out, per_call(block, locked.y))
+            read.append(locked)
+            return out
+
+        monkeypatch.setattr(solver, "locked_set", spy_form)
+        monkeypatch.setattr(solver, "deflate_locked", spy_deflate)
+        monkeypatch.setattr(ortho, "deflate_locked", spy_deflate)
+        res = solve(generate(GeneratorSpec(m=256, seed=0)), SolverConfig(nev=16))
+        locked = [0] + [row.locked for row in res.trace]
+        grew = [b > a for a, b in zip(locked[:-2], locked[1:-1])]
+        assert res.converged and len(formed) == sum(grew) >= 1
+        reading = [locked[it - 1] > 0 for it in range(1, len(res.trace) + 1)]
+        assert len(read) == 2 * sum(reading)
+        assert all(a is b for a, b in zip(read[0::2], read[1::2]))
+        assert list(dict.fromkeys(map(id, read))) == list(map(id, formed))
+
+    def test_flops_of_a_formed_gram(self):
+        g = np.random.default_rng(5)
+        n, l, k = 40, 3, 6
+        y = g.standard_normal((n, l)) + 1j * g.standard_normal((n, l))
+        block = g.standard_normal((n, k)) + 1j * g.standard_normal((n, k))
+        ledger = PhaseLedger()
+        locked = ortho.locked_set(y, ledger, "ortho")
+        out = ortho.deflate_locked(block, locked, ledger, "filter")
+        np.testing.assert_array_equal(out, ortho.deflate_locked(block, y))
+        assert ledger.flops == {"ortho": 8.0 * n * l * l, "filter": 16.0 * n * l * k}
+
+
+class TestPositiveHalfPurge:
+    """Row 1 filters with the density cutoff, row 2 with cutoff 0."""
+
+    def test_desk512_instances(self):
+        iterations = []
+        for seed in range(4):
+            res = solve(generate(GeneratorSpec(m=256, seed=seed)), SolverConfig(nev=16))
+            assert res.converged and res.trace[0].mu_nevex == res.bounds.mu_nevex
+            assert res.trace[1].mu_nevex == 0.0
+            iterations.append(res.iterations_used)
+        assert iterations == [4, 4, 4, 4]
+
+    @pytest.mark.parametrize("seed", [24, 68])
+    def test_criterion_seeds_that_stalled_without_it(self, seed):
+        # with row 2's cutoff from update_cutoff, the unbiased first cutoff
+        # left positive-half components in the block; a spurious Ritz value
+        # at the bottom of the active block then held up locking, and
+        # neither seed converged in 25 iterations
+        ham = generate(GeneratorSpec(m=256, seed=seed))
+        cfg = SolverConfig(nev=16, nex=16, seed=seed, rr_variant="hermitian")
+        res = _solve_and_check_oracle(ham, cfg)
+        assert res.trace[1].mu_nevex == 0.0
+        assert res.iterations_used <= 5
 
 
 class TestHermitianParity:
