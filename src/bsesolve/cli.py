@@ -139,7 +139,10 @@ cli.add_command(generate_cmd, name="generate")
 
 def _solver_options(fn):
     fn = click.option("--nev", type=int, required=True)(fn)
-    fn = click.option("--nex", type=int, default=None, help="Defaults to nev.")(fn)
+    fn = click.option(
+        "--nex", type=int, default=None,
+        help="Defaults to min(nev, max(8, ceil(nev/4))).",
+    )(fn)
     fn = click.option("--deg", type=int, default=20, show_default=True)(fn)
     fn = click.option("--tol", type=float, default=1e-8, show_default=True)(fn)
     fn = click.option("--maxiter", type=int, default=25, show_default=True)(fn)
@@ -151,6 +154,12 @@ def _solver_options(fn):
     fn = click.option("--lanczos-steps", type=int, default=24, show_default=True)(fn)
     fn = click.option("--rel-res", is_flag=True, help="Residual test relative to |mu_1|.")(fn)
     return fn
+
+
+def _resolved_config(cfg: SolverConfig) -> dict:
+    """The config a manifest records: nex as the solve ran it, never null,
+    so that a replay runs the same block under any later default."""
+    return {**asdict(cfg), "nex": cfg.nevex - cfg.nev}
 
 
 @cli.command("solve")
@@ -177,7 +186,7 @@ def solve_cmd(a_path, b_path, pchb_path, largest, out, **solver_options):
     fileio.write_manifest(
         out_dir / "manifest.json",
         command="solve",
-        config={**asdict(cfg), "largest": largest},
+        config={**_resolved_config(cfg), "largest": largest},
         inputs=inputs,
         outputs=["eigenvalues.csv", "eigenvectors.bin", "trace.csv"],
         seed=cfg.seed,
@@ -320,7 +329,7 @@ def bench_cmd(a_path, b_path, pchb_path, reps, out, **solver_options):
     fileio.write_manifest(
         out_dir / "manifest.json",
         command="bench",
-        config={**asdict(cfg), "reps": reps},
+        config={**_resolved_config(cfg), "reps": reps},
         inputs=inputs,
         outputs=["bench.csv"],
         seed=cfg.seed,

@@ -105,17 +105,21 @@ def estimate_bounds(
     mu_1 is the smallest Ritz value inflated by SAFETY_INFLATION, mu_n its
     reflection, and mu_nevex the density cutoff where the cumulative
     counting weight over the negative nodes reaches nevex/n (see
-    `_density_cutoff`).  Breakdown before
-    min(4, steps, n) completed steps restarts from a fresh seeded vector,
-    at most MAX_RESTARTS times.
+    `_density_cutoff`).  At most min(steps, n) steps run.  Breakdown
+    before min(4, steps, n) completed steps restarts from a fresh seeded
+    vector, at most MAX_RESTARTS times.
     """
     if steps < 2 or steps % 2:
         raise ValidationError(f"steps must be even and >= 2, got {steps}")
     if nevex < 0 or nevex > ham.n // 2:
         raise ValidationError(f"nevex must lie in [0, n/2], got {nevex}")
 
-    # an n-dimensional space holds at most n Lanczos vectors
-    needed = min(4, steps, ham.n)
+    # an n-dimensional space holds at most n Lanczos vectors: past n the
+    # recurrence adds ghost copies of converged Ritz values, and a crossing
+    # node whose upper neighbor is its own copy puts the midpoint cutoff
+    # on an eigenvalue (n = 2m is even, so the cap keeps the even steps)
+    steps = min(steps, ham.n)
+    needed = min(4, steps)
     alphas = np.empty(0)
     betas = np.empty(0)
     for attempt in range(MAX_RESTARTS + 1):

@@ -255,7 +255,7 @@ class TestCorrectedFilter:
         # lambda_1 = -1959.54 lies below mu_1 = -1957.85: clipping the
         # shift to mu_1 stalled this solve at residual 8e-6
         ham = generate(GeneratorSpec(m=256, seed=13))
-        res = solve(ham, SolverConfig(nev=16))
+        res = solve(ham, SolverConfig(nev=16, nex=16))
         assert res.lambdas[0] < res.bounds.mu_1
         assert res.converged and res.iterations_used == 4
 
@@ -264,6 +264,6 @@ class TestCorrectedFilter:
         # spurious value through: lambda_min(Q*SQ) = 0.59 after row 2 and
         # 5 iterations
         ham = generate(GeneratorSpec(m=256, seed=1))
-        res = solve(ham, SolverConfig(nev=16, rr_variant="backup"))
+        res = solve(ham, SolverConfig(nev=16, nex=16, rr_variant="backup"))
         assert res.converged and res.iterations_used == 4
         assert min(row.lambda_min_m for row in res.trace[1:]) >= 0.99

@@ -96,6 +96,27 @@ class TestSolveCommand:
         vecs = fileio.read_pchv(out / "eigenvectors.bin")
         assert vecs.shape == (64, 4)
 
+    def test_manifest_records_the_block_width_the_solve_ran(self, runner, tmp_path):
+        # a default solve wrote "nex": null, which a replay under another
+        # default would run on another block; replaying the recorded nex
+        # gives the same bytes
+        a, b = _generate_inputs(runner, tmp_path / "in", m=32, seed=5)
+        recorded = {}
+        for name, extra in (("default", []), ("five", ["--nex", "5"]),
+                            ("replay", ["--nex", "8"])):
+            out = tmp_path / name
+            result = runner.invoke(
+                cli, ["solve", "--a", str(a), "--b", str(b), "--nev", "16",
+                      *extra, "--out", str(out)],
+            )
+            assert result.exit_code == 0, result.output
+            recorded[name] = json.loads((out / "manifest.json").read_text())["config"]["nex"]
+        assert recorded == {"default": 8, "five": 5, "replay": 8}
+        for name in ("eigenvalues.csv", "eigenvectors.bin"):
+            assert (tmp_path / "replay" / name).read_bytes() == (
+                tmp_path / "default" / name
+            ).read_bytes()
+
     def test_odd_degree_runs_as_given(self, runner, tmp_path):
         a, b = _generate_inputs(runner, tmp_path / "in", m=8, seed=2)
         result = runner.invoke(
@@ -470,6 +491,7 @@ class TestBenchCommand:
         assert set(config) == {f.name for f in fields(SolverConfig)} | {"reps"}
         assert config["lanczos_steps"] == 12
         assert config["rel_res"] is True and config["rr_variant"] == "backup"
+        assert config["nex"] == 2  # resolved from the default, never null
 
     @pytest.mark.parametrize("command", ["solve", "bench"])
     def test_every_solver_field_is_a_parameter(self, command):

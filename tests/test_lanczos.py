@@ -37,6 +37,20 @@ class TestEstimateBounds:
         assert bounds.steps == 2
         assert bounds.mu_1 == pytest.approx(-1.01 * LAM2, rel=1e-10)
 
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_steps_stop_at_the_dimension(self, m):
+        # 24 steps on n < 24 repeated every eigenvalue as ghost nodes, and a
+        # crossing node next to its own copy put the midpoint cutoff on an
+        # eigenvalue: lambda_1 = -11.333152345667138 at m = 3, seed 3
+        for seed in range(4):
+            ham = generate(GeneratorSpec(m=m, seed=seed))
+            lam = direct_solve_definite(ham).lambdas
+            scale = np.abs(lam).max()
+            for nevex in range(m + 1):
+                bounds = estimate_bounds(ham, nevex=nevex, seed=0)
+                assert bounds.ritz_values.size == bounds.steps <= ham.n
+                assert np.abs(lam - bounds.mu_nevex).min() > 1e-9 * scale
+
     def test_tda_diagonal_brackets_spectrum(self):
         a = np.diag(np.arange(1.0, 9.0))
         ham = BseHamiltonian(a, np.zeros((8, 8)))
@@ -133,8 +147,8 @@ class TestDensityCutoff:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_tiny_dimensions(self, m):
-        # 24 steps on n <= 8 repeat every eigenvalue as ghost nodes; the
-        # bounds stay ordered and a solve over every column converges
+        # at most n <= 8 Lanczos steps; the bounds stay ordered and a solve
+        # over every column converges
         ham = generate(GeneratorSpec(m=m, seed=m))
         for nevex in range(m + 1):
             bounds = estimate_bounds(ham, nevex=nevex, seed=0)
