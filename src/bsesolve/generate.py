@@ -52,10 +52,12 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValidationError(f"m must be >= 1, got {self.m}")
-        if self.alpha <= 0:
-            raise ValidationError(f"alpha must be positive, got {self.alpha}")
-        if self.coupling_ratio < 0:
-            raise ValidationError(f"coupling_ratio must be >= 0, got {self.coupling_ratio}")
+        if not 0 < self.alpha < np.inf:  # also rejects NaN
+            raise ValidationError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0 <= self.coupling_ratio < np.inf:
+            raise ValidationError(
+                f"coupling_ratio must be finite and >= 0, got {self.coupling_ratio}"
+            )
         if self.mode not in ("definite", "indefinite"):
             raise ValidationError(f"mode must be definite or indefinite, got {self.mode!r}")
         if self.mode == "definite" and self.coupling_ratio >= 1:

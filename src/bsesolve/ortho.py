@@ -34,19 +34,6 @@ FALLBACK_TOL = 1e-8
 RANK_TOL = 1e-10
 
 
-def fix_column_phases(q: np.ndarray) -> np.ndarray:
-    """Scale each column so its first significant entry is real positive."""
-    mags = np.abs(q)
-    top = mags.max(axis=0)
-    lead = np.argmax(mags >= 1e-8 * top, axis=0)
-    pivot = q[lead, np.arange(q.shape[1])]
-    nonzero = top > 0.0  # zero columns stay as they are
-    pivot[~nonzero] = 1.0  # and skip the 0 / 0
-    out = q.copy()
-    np.multiply(q, np.conj(pivot) / np.abs(pivot), out=out, where=nonzero)
-    return out
-
-
 def _householder(x: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(x)
     diag = np.abs(np.diag(r))
@@ -91,7 +78,7 @@ def cholqr_with_fallback(
             method = "householder"
     if method == "householder":
         q = _householder(x)
-    return fix_column_phases(q), method
+    return q, method
 
 
 class LockedSet(NamedTuple):
@@ -102,34 +89,30 @@ class LockedSet(NamedTuple):
     gram: np.ndarray
 
 
-def locked_set(
-    locked_y: np.ndarray, ledger: PhaseLedger | None = None, phase: str = "ortho"
-) -> LockedSet:
+def locked_set(locked_y: np.ndarray, ledger: PhaseLedger | None = None) -> LockedSet:
     """Form (S Y)* and Y* S Y once, for every deflation until Y changes.
 
-    Charged to `phase`, 8 n l^2 FLOPs for l locked vectors.
+    Charged to "ortho", 8 n l^2 FLOPs for l locked vectors.
     """
     sy_h = apply_s(locked_y).conj().T
     if ledger is not None:
         n, l = locked_y.shape
-        ledger.add_flops(phase, 8.0 * n * l * l)
+        ledger.add_flops("ortho", 8.0 * n * l * l)
     return LockedSet(locked_y, sy_h, sy_h @ locked_y)
 
 
 def deflate_locked(
     block: np.ndarray,
-    locked: LockedSet | np.ndarray,
+    locked: LockedSet,
     ledger: PhaseLedger | None = None,
     phase: str = "filter",
 ) -> np.ndarray:
     """block - Y (Y* S Y)^{-1} (S Y)* block, with Y the locked vectors.
 
-    The result is orthogonal to S Y.  locked is a `LockedSet`, or Y itself,
-    whose Gram this call then forms (`locked_set`).  Charged to `phase`,
-    16 n l k FLOPs for l locked and k block columns, plus the Gram's.
+    The result is orthogonal to S Y.  locked carries Y with the (S Y)* and
+    Y* S Y that `locked_set` formed.  Charged to `phase`, 16 n l k FLOPs for
+    l locked and k block columns.
     """
-    if not isinstance(locked, LockedSet):
-        locked = locked_set(locked, ledger, phase)
     coeff = np.linalg.solve(locked.gram, locked.sy_h @ block)
     if ledger is not None:
         n, l = locked.y.shape
@@ -139,16 +122,16 @@ def deflate_locked(
 
 def s_orthonormalize(
     vhat,
-    locked: LockedSet | np.ndarray | None = None,
+    locked: LockedSet | None = None,
     ledger: PhaseLedger | None = None,
 ) -> tuple[np.ndarray, str]:
     """Deflate the locked vectors Y from vhat, then orthonormalize its columns.
 
-    locked is a `LockedSet` or Y itself.  Returns the orthonormal active
-    block, orthogonal to S Y, and the QR method that ran.
+    locked is the `LockedSet` of Y, or None when nothing is locked.  Returns
+    the orthonormal active block, orthogonal to S Y, and the QR method that
+    ran.
     """
     v = np.asarray(vhat, dtype=np.complex128)
-    y = locked.y if isinstance(locked, LockedSet) else locked
-    if y is not None and y.shape[1]:
+    if locked is not None:
         v = deflate_locked(v, locked, ledger, "ortho")
     return cholqr_with_fallback(v, ledger)

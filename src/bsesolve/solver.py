@@ -148,8 +148,8 @@ class SolverConfig:
             )
         if self.deg < 1:
             raise ValidationError(f"deg must be >= 1, got {self.deg}")
-        if not self.tol > 0:
-            raise ValidationError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < np.inf:  # also rejects NaN
+            raise ValidationError(f"tol must be positive and finite, got {self.tol}")
         if self.maxiter < 1:
             raise ValidationError(f"maxiter must be >= 1, got {self.maxiter}")
         if self.rr_variant not in ("auto", "hermitian", "backup"):

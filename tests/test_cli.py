@@ -58,6 +58,23 @@ class TestGenerateCommand:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "option, value, mode",
+        [
+            ("--alpha", "nan", "definite"),
+            ("--alpha", "inf", "definite"),
+            ("--coupling-ratio", "nan", "definite"),
+            ("--coupling-ratio", "inf", "indefinite"),
+        ],
+    )
+    def test_non_finite_parameter_is_validation_error(self, runner, tmp_path, option, value, mode):
+        result = runner.invoke(
+            cli,
+            ["generate", "--m", "4", option, value, "--mode", mode, "--out", str(tmp_path)],
+        )
+        assert result.exit_code == 2, result.output
+        assert f"error: {option[2:].replace('-', '_')} must be" in result.output
+
     def test_pchb_format(self, runner, tmp_path):
         result = runner.invoke(
             cli, ["generate", "--m", "4", "--seed", "1", "--format", "pchb",
@@ -136,6 +153,15 @@ class TestSolveCommand:
                   "--out", str(tmp_path / "out")],
         )
         assert result.exit_code == 2
+
+    def test_infinite_tol_is_validation_error(self, runner, tmp_path):
+        a, b = _generate_inputs(runner, tmp_path / "in", m=8, seed=2)
+        result = runner.invoke(
+            cli, ["solve", "--a", str(a), "--b", str(b), "--nev", "2", "--tol", "inf",
+                  "--out", str(tmp_path / "out")],
+        )
+        assert result.exit_code == 2, result.output
+        assert "error: tol must be" in result.output
 
     def test_indefinite_input_is_numerical_error(self, runner, tmp_path):
         a, b = _generate_inputs(
@@ -368,6 +394,12 @@ class TestVerifyCommand:
         assert result.exit_code == 0, result.output
         assert "FAIL" not in result.output
         assert "checks passed" in result.output
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_alpha_is_validation_error(self, runner, value):
+        result = runner.invoke(cli, ["verify", "--m", "4", "--alpha", value])
+        assert result.exit_code == 2, result.output
+        assert "error: alpha must be" in result.output
 
     def test_corrupted_coupling_block_fails_structure_check(self, runner, tmp_path):
         import numpy as np

@@ -43,6 +43,22 @@ class TestGeneratorSpec:
         with pytest.raises(ValidationError):
             GeneratorSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name, value, mode",
+        [
+            ("alpha", np.nan, "definite"),
+            ("alpha", np.inf, "definite"),
+            ("coupling_ratio", np.nan, "definite"),
+            ("coupling_ratio", np.nan, "indefinite"),
+            ("coupling_ratio", np.inf, "indefinite"),
+        ],
+    )
+    def test_non_finite_parameter_is_rejected_by_name(self, name, value, mode):
+        # NaN passed `alpha <= 0` and reached eigvalsh, which raised
+        # LinAlgError; a non-finite ratio surfaced only as non-finite B
+        with pytest.raises(ValidationError, match=f"^{name} must be"):
+            GeneratorSpec(m=4, seed=0, mode=mode, **{name: value})
+
 
 class TestGenerate:
     def test_deterministic_per_seed(self):

@@ -260,7 +260,7 @@ class TestValidateBlocks:
             ham.b = _perturbed(m, 9, False, "diagonal_tile")
         ok, defect = validate_pseudo_hermitian(materialize(ham))
         assert ok is (case != "defective")
-        check = check_structure(ham)
+        check = check_structure(ham.a, ham.b)
         assert (check.passed, check.detail) == (ok, f"max defect {defect:.3e}")
         assert validate_blocks(ham.a, ham.b) == (ok, defect)
 

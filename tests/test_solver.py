@@ -173,6 +173,9 @@ class TestSolve:
             solve(ham, SolverConfig(nev=0))
         with pytest.raises(ValidationError):
             solve(ham, SolverConfig(nev=2, tol=-1.0))
+        # tol = inf validated, and every solve "converged" in 1 iteration
+        with pytest.raises(ValidationError, match="tol must be"):
+            solve(ham, SolverConfig(nev=2, tol=np.inf))
 
     def test_trace_monotonicity(self):
         ham = generate(GeneratorSpec(m=48, seed=12))
@@ -597,10 +600,10 @@ class TestDeflateLocked:
         rest = eig.v[:, 3:9] @ (g.standard_normal((6, 5)) + 1j * g.standard_normal((6, 5)))
         block = rest + locked @ (g.standard_normal((3, 5)) + 1j * g.standard_normal((3, 5)))
         ledger = PhaseLedger()
-        out = ortho.deflate_locked(block, locked, ledger, "filter")
+        out = ortho.deflate_locked(block, ortho.locked_set(locked, ledger), ledger, "filter")
         assert np.abs(out - rest).max() <= 1e-12 * np.abs(rest).max()
         assert np.abs(apply_s(locked).conj().T @ out).max() <= 1e-12
-        assert ledger.flops == {"filter": 8.0 * 32 * 3 * (3 + 2 * 5)}
+        assert ledger.flops == {"ortho": 8.0 * 32 * 3 * 3, "filter": 8.0 * 32 * 3 * 2 * 5}
 
 
     def test_solve_forms_each_gram_once_and_deflates_bit_for_bit(self, monkeypatch):
@@ -615,7 +618,7 @@ class TestDeflateLocked:
 
         def spy_deflate(block, locked, *args):
             out = per_call(block, locked, *args)
-            np.testing.assert_array_equal(out, per_call(block, locked.y))
+            np.testing.assert_array_equal(out, per_call(block, form(locked.y)))
             read.append(locked)
             return out
 
@@ -637,9 +640,9 @@ class TestDeflateLocked:
         y = g.standard_normal((n, l)) + 1j * g.standard_normal((n, l))
         block = g.standard_normal((n, k)) + 1j * g.standard_normal((n, k))
         ledger = PhaseLedger()
-        locked = ortho.locked_set(y, ledger, "ortho")
+        locked = ortho.locked_set(y, ledger)
         out = ortho.deflate_locked(block, locked, ledger, "filter")
-        np.testing.assert_array_equal(out, ortho.deflate_locked(block, y))
+        np.testing.assert_array_equal(out, ortho.deflate_locked(block, ortho.locked_set(y)))
         assert ledger.flops == {"ortho": 8.0 * n * l * l, "filter": 16.0 * n * l * k}
 
 
@@ -687,6 +690,17 @@ class TestPositiveHalfPurge:
             assert res.trace[1].mu_nevex == 0.0
             iterations.append(res.iterations_used)
         assert iterations == [4, 4, 4, 4]
+
+    @pytest.mark.parametrize(
+        "m, nev, iterations", [(256, 16, [5, 5, 5, 4]), (512, 16, [5]), (1024, 32, [7])]
+    )
+    def test_benchmark_instances(self, m, nev, iterations):
+        # desk512, cli_mm and bulk2048 as the benchmark solves them: generator
+        # seeds 0, 1, ..., solver seed 0, the default block width
+        for seed, count in enumerate(iterations):
+            res = solve(generate(GeneratorSpec(m=m, seed=seed)), SolverConfig(nev=nev))
+            assert res.converged and res.trace[1].mu_nevex == 0.0
+            assert res.iterations_used == count, seed
 
     @pytest.mark.parametrize("seed", [24, 68])
     def test_criterion_seeds_that_stalled_without_it(self, seed):
