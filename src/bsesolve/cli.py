@@ -75,18 +75,27 @@ def _input_options(fn):
     return fn
 
 
+def _reject_empty(m: int) -> None:
+    """The library accepts m = 0; no command has anything to do with it."""
+    if m == 0:
+        raise ValidationError("the blocks are empty (m = 0)")
+
+
 def _load_hamiltonian(a_path, b_path, pchb_path) -> tuple[BseHamiltonian, dict[str, str]]:
     if pchb_path:
         if a_path or b_path:
             raise ValidationError("--pchb excludes --a/--b")
         ham = fileio.read_pchb(pchb_path)
+        _reject_empty(ham.m)
         return ham, {str(pchb_path): fileio.digest64(pchb_path)}
     if not (a_path and b_path):
         raise ValidationError("provide --a and --b, or --pchb")
     (a, a_digest), (b, b_digest) = fileio.run_pair(
         fileio.read_matrix_market_digest, (a_path,), (b_path,)
     )
-    return BseHamiltonian(a, b), {str(a_path): a_digest, str(b_path): b_digest}
+    ham = BseHamiltonian(a, b)
+    _reject_empty(ham.m)
+    return ham, {str(a_path): a_digest, str(b_path): b_digest}
 
 
 def _combined_digest(inputs: dict[str, str]) -> str:
@@ -250,6 +259,7 @@ def verify_cmd(m, seed, coupling_ratio, alpha, mode, a_path, b_path):
         a_raw, b_raw = fileio.run_pair(fileio.read_matrix_market, (a_path,), (b_path,))
         checks.append(check_structure(a_raw, b_raw))
         if checks[0].passed:
+            _reject_empty(a_raw.shape[0])
             try:  # each block's own scale may reject what |H|'s passed
                 ham = BseHamiltonian(a_raw, b_raw)
             except ValidationError as exc:

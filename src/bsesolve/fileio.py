@@ -141,6 +141,8 @@ def read_matrix_market(path: str | Path) -> np.ndarray:
         for start in range(0, count, _MM_CHUNK):
             stop = min(start + _MM_CHUNK, count)
             pairs[start:stop] = _parse_entries(fh, stop - start)
+        if any(line.strip() for line in fh):
+            raise ValidationError(f"data after the {rows} x {cols} entries")
     data = pairs.view(np.complex128).reshape(count)
     return np.asfortranarray(data.reshape((rows, cols), order="F"))
 
@@ -160,10 +162,11 @@ def _read_exact(fh, size: int, what: str) -> bytes:
 
 
 def _check_length(fh, size: int, what: str) -> None:
-    """Reject a file shorter than the size its header declares, before reading it."""
+    """Reject a file of another size than its header declares, before reading it."""
     actual = os.fstat(fh.fileno()).st_size
-    if actual < size:
-        raise ValidationError(f"truncated: a {what} takes {size} bytes, the file has {actual}")
+    if actual != size:
+        kind = "truncated" if actual < size else "trailing data"
+        raise ValidationError(f"{kind}: a {what} takes {size} bytes, the file has {actual}")
 
 
 def write_pchb(path: str | Path, ham: BseHamiltonian) -> None:

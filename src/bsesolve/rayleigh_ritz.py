@@ -17,7 +17,8 @@ Each variant makes one float64 H-product, H Q, and hands H V with its Ritz
 vectors V = Q C (columns scaled to unit norm): H V = (H Q) C, an n x k by
 k x k product in place of a second H-product.  Q has orthonormal columns,
 so each column of C has the norm of its Ritz vector, 1, and H V is
-accurate to about eps ||H||, as a direct product is.  `residuals` reads it.
+accurate to about eps ||H||, as a direct product is.  `residuals` writes
+R = H V - V Lambda over it.
 """
 
 from __future__ import annotations
@@ -58,9 +59,9 @@ class ReducedProblem:
 
 @dataclass
 class RitzSet:
-    """Ritz values (ascending, real), unit Ritz vectors V, H V when the
-    projection formed it, and their residuals (the norms and the block
-    H V - V Lambda the next filter reads)."""
+    """Ritz values (ascending, real), unit Ritz vectors V, the projection's
+    H V until `residuals` writes over it, and the residuals (the norms and
+    the block H V - V Lambda the next filter reads)."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -187,13 +188,13 @@ def residuals(
     ritz: RitzSet,
     ledger: PhaseLedger | None = None,
 ) -> np.ndarray:
-    """Absolute residual 2-norms ||H v - lam v||_2; norms and vectors are
-    stored on the RitzSet.  H V is the projection's when the RitzSet holds
-    it, else one H-product."""
-    hv = ritz.h_vectors
-    if hv is None:
-        hv = apply_h(ham, ritz.vectors, ledger, "residuals")
-    r = hv - ritz.vectors * ritz.values
+    """Absolute residual 2-norms ||H v - lam v||_2, stored on the RitzSet with
+    R = H V - V Lambda, written over its H V (then cleared) or one H-product."""
+    r = ritz.h_vectors
+    if r is None:
+        r = apply_h(ham, ritz.vectors, ledger, "residuals")
+    r -= ritz.vectors * ritz.values
+    ritz.h_vectors = None
     ritz.residual_vectors = r
     ritz.residual_norms = np.linalg.norm(r, axis=0)
     return ritz.residual_norms
@@ -204,8 +205,8 @@ def lock_converged(
     tol: float,
     nev: int,
     normalizer: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split the (ascending) Ritz set into newly locked and active indices.
+) -> int:
+    """Count the newly locked pairs, a prefix of the (ascending) Ritz set.
 
     A pair locks only when every smaller Ritz value converges with it: the
     locked set is the longest converged prefix, capped at nev entries (the
@@ -218,7 +219,7 @@ def lock_converged(
     count = 0
     while count < ritz.k and count < nev and converged[count]:
         count += 1
-    return np.arange(count), np.arange(count, ritz.k)
+    return count
 
 
 def diagnostics(

@@ -58,8 +58,9 @@ the same projection removes from the filtered block in `s_orthonormalize`.
 The sgemm runs in its faster NN orientation (see `chebyshev`).
 Orthonormalization, both Rayleigh-Ritz variants, the residuals, locking
 and Lanczos always run in float64.  Each iteration makes one float64
-H-product, H Q in the projection: the residuals read H V = (H Q) C from
-it (see `rayleigh_ritz`).  The residual norms a solve returns are
+H-product, H Q in the projection: the residuals R are written over
+H V = (H Q) C (see `rayleigh_ritz`), and the next filter reads the active
+columns of V and R as slices.  The residual norms a solve returns are
 recomputed with one H-product on the returned vectors.
 
 Every dense linear-algebra call on the solve path, the definiteness check
@@ -271,25 +272,21 @@ def solve(ham: BseHamiltonian, cfg: SolverConfig) -> SolveResult:
 
         with ledger.timing("residuals"):
             res = residuals(ham, ritz, ledger)
-        new_locked, active_idx = lock_converged(
-            ritz, tol, cfg.nev - len(locked_vals), normalizer
-        )
-        if new_locked.size:
-            locked_y = np.concatenate(
-                [locked_y, ritz.vectors[:, new_locked]], axis=1
-            )
-            locked_vals.extend(ritz.values[new_locked])
+        count = lock_converged(ritz, tol, cfg.nev - len(locked_vals), normalizer)
+        if count:
+            locked_y = np.concatenate([locked_y, ritz.vectors[:, :count]], axis=1)
+            locked_vals.extend(ritz.values[:count])
         converged = len(locked_vals) >= cfg.nev
         if converged or it == cfg.maxiter:
             with ledger.timing("residuals"):
                 returned = _returned_pairs(
-                    ham, ritz, active_idx, locked_vals, locked_y, cfg.nev, ledger
+                    ham, ritz, count, locked_vals, locked_y, cfg.nev, ledger
                 )
-        elif new_locked.size:
+        elif count:
             with ledger.timing("ortho"):
                 locked = locked_set(locked_y, ledger)
 
-        unlocked_res = res[active_idx]
+        unlocked_res = res[count:]
         min_res = float(unlocked_res.min()) if unlocked_res.size else 0.0
         spent = {
             phase: ledger.seconds.get(phase, 0.0) - seconds_before.get(phase, 0.0)
@@ -317,14 +314,14 @@ def solve(ham: BseHamiltonian, cfg: SolverConfig) -> SolveResult:
         if converged:
             break
 
-        vhat = ritz.vectors[:, active_idx]
-        vhat_values = ritz.values[active_idx]
-        vhat_residual = ritz.residual_vectors[:, active_idx]
+        vhat = ritz.vectors[:, count:]
+        vhat_values = ritz.values[count:]
+        vhat_residual = ritz.residual_vectors[:, count:]
         if it == 1:
             current = replace(bounds, mu_nevex=0.0)  # the positive-half purge
         else:
             current = update_cutoff(
-                current, vhat_values, res[active_idx], tol * normalizer, cfg.nev - len(locked_vals)
+                current, vhat_values, unlocked_res, tol * normalizer, cfg.nev - len(locked_vals)
             )
 
     return SolveResult(
@@ -343,7 +340,7 @@ def solve(ham: BseHamiltonian, cfg: SolverConfig) -> SolveResult:
 def _returned_pairs(
     ham: BseHamiltonian,
     ritz: RitzSet,
-    active_idx: np.ndarray,
+    count: int,
     locked_vals: list[float],
     locked_y: np.ndarray,
     nev: int,
@@ -351,13 +348,13 @@ def _returned_pairs(
 ) -> RitzSet:
     """The pairs a solve returns, ascending, with their residuals recomputed.
 
-    Best effort: the locked pairs are topped up with the best active ones
-    (none are missing when the solve converged).  The residuals come from
-    one H-product on the returned vectors, not from the projection's H V.
+    Best effort: the locked pairs are topped up with the best active ones,
+    the Ritz set's from count on (none are missing when the solve converged).
+    The residuals come from one H-product on the returned vectors.
     """
-    missing = nev - len(locked_vals)
-    vals = np.concatenate([locked_vals, ritz.values[active_idx][:missing]])
-    vecs = np.concatenate([locked_y, ritz.vectors[:, active_idx[:missing]]], axis=1)
+    top = count + nev - len(locked_vals)
+    vals = np.concatenate([locked_vals, ritz.values[count:top]])
+    vecs = np.concatenate([locked_y, ritz.vectors[:, count:top]], axis=1)
     order = np.argsort(vals, kind="stable")
     returned = RitzSet(values=vals[order], vectors=vecs[:, order])
     residuals(ham, returned, ledger)

@@ -308,6 +308,8 @@ def fit_slope(epsilons, errors) -> float:
 
 
 def check_quadratic_convergence(ham: BseHamiltonian, seed: int = 0) -> PropertyCheck:
+    if ham.n <= 4:  # the sweep's 4 columns span C^n: its errors are rounding
+        return PropertyCheck("quadratic_ritz_convergence", True, "space spans C^n, vacuous")
     sweep = quadratic_sweep(ham, seed=seed)
     slope_h = fit_slope(sweep["epsilons"], sweep["hermitian_errors"])
     slope_b = fit_slope(sweep["epsilons"], sweep["backup_errors"])
@@ -330,7 +332,8 @@ def run_suite(ham: BseHamiltonian, seed: int = 0) -> list[PropertyCheck]:
     checks = [
         check_structure(ham.a, ham.b),
         check_field_of_values(ham),
-        check_qsq_spectrum_law(ham.n, k, rng.substream(seed, 101)),
+        # Q1 has min(k, m) singular values, one per eigenvalue only if k <= m
+        check_qsq_spectrum_law(ham.n, min(k, ham.m), rng.substream(seed, 101)),
         check_dual_basis(ham.n, k, rng.substream(seed, 102)),
         check_singular_direction_detection(max(ham.m, 2)),
     ]

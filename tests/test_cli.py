@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import fields
@@ -234,6 +235,40 @@ class TestPchbInput:
         assert result.exit_code == 2, result.output
         assert "truncated" in result.output
 
+    def test_trailing_bytes_in_pchb_are_validation_error(self, runner, tmp_path):
+        p = tmp_path / "ham.pchb"
+        fileio.write_pchb(p, generate(GeneratorSpec(m=4, seed=1)))
+        p.write_bytes(p.read_bytes() + b"\0" * 7)
+        result = runner.invoke(cli, ["oracle", "--pchb", str(p), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert "trailing data" in result.output
+
+
+class TestEmptyBlocks:
+    """m = 0 is a validation error on every load path of the CLI."""
+
+    def _inputs(self, tmp_path, fmt):
+        if fmt == "pchb":
+            p = tmp_path / "ham.pchb"
+            p.write_bytes(b"PCHB" + struct.pack("<IQ", 1, 0))
+            return ["--pchb", str(p)]
+        for name in ("A.mtx", "B.mtx"):
+            (tmp_path / name).write_text("%%MatrixMarket matrix array complex general\n0 0\n")
+        return ["--a", str(tmp_path / "A.mtx"), "--b", str(tmp_path / "B.mtx")]
+
+    @pytest.mark.parametrize("command, fmt", [
+        ("oracle", "mm"), ("oracle", "pchb"), ("verify", "mm"), ("solve", "pchb"),
+    ])
+    def test_empty_blocks_are_validation_error(self, runner, tmp_path, command, fmt):
+        args = [command, *self._inputs(tmp_path, fmt)]
+        if command != "verify":
+            args += ["--out", str(tmp_path / "out")]
+        if command == "solve":
+            args += ["--nev", "1"]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 2, result.output
+        assert "error: the blocks are empty (m = 0)" in result.output
+
 
 class TestMatrixMarketInput:
     def test_size_line_larger_than_the_body_is_validation_error(self, runner, tmp_path):
@@ -245,6 +280,15 @@ class TestMatrixMarketInput:
         )
         assert result.exit_code == 2, result.output
         assert "cannot fit" in result.output
+
+    def test_data_after_the_declared_entries_is_validation_error(self, runner, tmp_path):
+        a, b = _generate_inputs(runner, tmp_path / "in", m=4, seed=1)
+        b.write_text(b.read_text() + "1.0 2.0\n")
+        result = runner.invoke(
+            cli, ["oracle", "--a", str(a), "--b", str(b), "--out", str(tmp_path / "out")],
+        )
+        assert result.exit_code == 2, result.output
+        assert "after the 4 x 4 entries" in result.output
 
 
 def _solve(runner, a, b, out):
@@ -479,6 +523,22 @@ class TestVerifyCommand:
             cli, ["verify", "--a", str(tmp_path / "A.mtx"), "--b", str(tmp_path / "B.mtx")],
         )
         assert result.exit_code == 2, result.output
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_smallest_instances_all_pass(self, runner, m):
+        # at m = 1 the QSQ law compared 2 eigenvalues with 1 singular value;
+        # at m <= 2 the quadratic sweep's 4 columns span all of C^n
+        result = runner.invoke(cli, ["verify", "--m", str(m)])
+        assert result.exit_code == 0, result.output
+        assert "FAIL" not in result.output
+        assert "12/12 checks passed" in result.output
+
+    def test_smallest_indefinite_instance_passes(self, runner):
+        result = runner.invoke(
+            cli, ["verify", "--m", "1", "--mode", "indefinite", "--coupling-ratio", "2"],
+        )
+        assert result.exit_code == 0, result.output
+        assert "5/5 checks passed" in result.output
 
     def test_singular_direction_detection_reported(self, runner):
         result = runner.invoke(cli, ["verify", "--m", "6", "--seed", "1"])

@@ -114,6 +114,16 @@ class TestMatrixMarket:
         with pytest.raises(ValidationError, match="cannot fit"):
             fileio.read_matrix_market(p)
 
+    def test_data_after_the_declared_entries_rejected(self, tmp_path):
+        # a fifth entry line under a 2 x 2 size line was read as the first four
+        header = "%%MatrixMarket matrix array complex general\n2 2\n"
+        p = tmp_path / "long.mtx"
+        p.write_text(header + "1.0 2.0\n" * 5)
+        with pytest.raises(ValidationError, match="after the 2 x 2 entries"):
+            fileio.read_matrix_market(p)
+        p.write_text(header + "1.0 2.0\n" * 4 + "\n  \n")  # blank lines may follow
+        np.testing.assert_array_equal(fileio.read_matrix_market(p), np.full((2, 2), 1 + 2j))
+
     def test_shortest_entry_lines_fit(self, tmp_path):
         p = tmp_path / "short_lines.mtx"
         p.write_text("%%MatrixMarket matrix array complex general\n2 1\n1 2\n3 4")
@@ -193,6 +203,12 @@ class TestPchb:
             with pytest.raises(ValidationError, match="truncated"):
                 fileio.read_pchb(short)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        p = tmp_path / "h.pchb"
+        fileio.write_pchb(p, _ham(4))
+        p.write_bytes(p.read_bytes() + b"\0" * 7)
+        with pytest.raises(ValidationError, match="trailing data"):
+            fileio.read_pchb(p)
 
     def test_round_trip_bit_identical(self, tmp_path):
         ham = _ham(4)
@@ -256,6 +272,13 @@ class TestPchv:
         for short in _truncations(p, 24):
             with pytest.raises(ValidationError, match="truncated"):
                 fileio.read_pchv(short)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        p = tmp_path / "v.bin"
+        fileio.write_pchv(p, np.ones((4, 3), dtype=complex))
+        p.write_bytes(p.read_bytes() + b"\0" * 7)
+        with pytest.raises(ValidationError, match="trailing data"):
+            fileio.read_pchv(p)
 
 
 class TestCsv:

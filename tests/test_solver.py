@@ -368,6 +368,29 @@ class TestMemory:
         big = [v for v in vars(fresh).values() if isinstance(v, np.ndarray) and v.size >= n**2]
         assert big == []
 
+    def test_filter_reads_the_active_ritz_vectors_in_place(self, monkeypatch):
+        # from row 2 on the filter's input is a slice of the previous
+        # projection's Ritz vectors, not an index copy of them
+        projected, filtered = [], []
+        build, filt = solver.build_hermitian_rq, solver.chebyshev_filter
+
+        def recording_build(*args, **kwargs):
+            ritz, reduced = build(*args, **kwargs)
+            projected.append(ritz.vectors)
+            return ritz, reduced
+
+        def recording_filter(ham, vhat, *args, **kwargs):
+            filtered.append(vhat)
+            return filt(ham, vhat, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "build_hermitian_rq", recording_build)
+        monkeypatch.setattr(solver, "chebyshev_filter", recording_filter)
+        res = solve(generate(GeneratorSpec(m=64, seed=3)), SolverConfig(nev=8, seed=3))
+        assert res.converged and res.backup_events == 0
+        assert len(filtered) == len(projected) == res.iterations_used >= 3
+        for vectors, vhat in zip(projected, filtered[1:]):
+            assert np.shares_memory(vhat, vectors)
+
 
 class TestIndependentResidualGate:
     """Residuals recomputed from the returned pairs, not read from the result."""
