@@ -10,7 +10,6 @@ from .errors import (
     BseSolveError,
     HermitianRqError,
     IndefiniteError,
-    LanczosBreakdownError,
     NumericalError,
     RankDeficiencyError,
     ValidationError,
@@ -72,7 +71,6 @@ __all__ = [
     "GeneratorSpec",
     "HermitianRqError",
     "IndefiniteError",
-    "LanczosBreakdownError",
     "NumericalError",
     "PhaseLedger",
     "RankDeficiencyError",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import click
@@ -147,21 +147,29 @@ cli.add_command(generate_cmd, name="generate")
 
 
 def _solver_options(fn):
+    default = {f.name: f.default for f in fields(SolverConfig)}
     fn = click.option("--nev", type=int, required=True)(fn)
     fn = click.option(
-        "--nex", type=int, default=None,
+        "--nex", type=int, default=default["nex"],
         help="Defaults to min(nev, max(8, ceil(nev/4))).",
     )(fn)
-    fn = click.option("--deg", type=int, default=20, show_default=True)(fn)
-    fn = click.option("--tol", type=float, default=1e-8, show_default=True)(fn)
-    fn = click.option("--maxiter", type=int, default=25, show_default=True)(fn)
+    fn = click.option("--deg", type=int, default=default["deg"], show_default=True)(fn)
+    fn = click.option("--tol", type=float, default=default["tol"], show_default=True)(fn)
+    fn = click.option(
+        "--maxiter", type=int, default=default["maxiter"], show_default=True
+    )(fn)
     fn = click.option(
         "--rr", "rr_variant", type=click.Choice(["auto", "hermitian", "backup"]),
-        default="auto", show_default=True,
+        default=default["rr_variant"], show_default=True,
     )(fn)
-    fn = click.option("--seed", type=int, default=0, show_default=True)(fn)
-    fn = click.option("--lanczos-steps", type=int, default=24, show_default=True)(fn)
-    fn = click.option("--rel-res", is_flag=True, help="Residual test relative to |mu_1|.")(fn)
+    fn = click.option("--seed", type=int, default=default["seed"], show_default=True)(fn)
+    fn = click.option(
+        "--lanczos-steps", type=int, default=default["lanczos_steps"], show_default=True
+    )(fn)
+    fn = click.option(
+        "--rel-res", is_flag=True, default=default["rel_res"],
+        help="Residual test relative to |mu_1|.",
+    )(fn)
     return fn
 
 

@@ -25,10 +25,6 @@ class RankDeficiencyError(NumericalError):
     """Input columns are numerically rank deficient on every available path."""
 
 
-class LanczosBreakdownError(NumericalError):
-    """Lanczos recurrence broke down repeatedly before producing usable bounds."""
-
-
 class HermitianRqError(NumericalError):
     """The hermitian-equivalent reduced problem could not be formed.
 

@@ -7,6 +7,10 @@ matrix-vector product, e.g. <q, H q> = (S H q)* (H q); one multiplication
 by H per step suffices.  The resulting tridiagonal is real symmetric and
 its Ritz values approximate the (real) spectrum of H from a random start.
 
+A breakdown (beta = 0) ends the one pass early with exact Ritz values,
+since the Krylov space is invariant.  A random start reaches as many steps
+as H has distinct eigenvalues, so no other start could go further.
+
 The spectrum is symmetric about zero, so the step count is kept even, the
 upper bound is the reflection mu_n = -mu_1, and the density cutoff
 mu_nevex integrates the Ritz-weight distribution over the negative axis
@@ -31,16 +35,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .errors import IndefiniteError, LanczosBreakdownError, ValidationError
+from .errors import IndefiniteError, ValidationError
 from .hamiltonian import BseHamiltonian, apply_h, apply_s
 from .metrics import PhaseLedger
 
 #: Extreme bound inflation: widens the filter interval by 1% of |mu_1| so
 #: the damped region safely covers the unwanted spectrum.
 SAFETY_INFLATION = 0.01
-
-#: Breakdown restarts; attempt r draws its start from substream(seed, r).
-MAX_RESTARTS = 3
 
 
 @dataclass(frozen=True)
@@ -57,8 +58,8 @@ class SpectralBounds:
 
 def _tridiagonal_pass(
     ham: BseHamiltonian, start: np.ndarray, steps: int, ledger: PhaseLedger | None
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """One Lanczos sweep; returns (alphas, betas, broke_down_early)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """One Lanczos sweep of at most `steps` steps; returns (alphas, betas)."""
     n = ham.n
     hr = apply_h(ham, start, ledger, "lanczos")
     norm2 = np.real(np.vdot(apply_s(hr), start))
@@ -80,7 +81,7 @@ def _tridiagonal_pass(
         w = z - alphas[-1] * q - beta_prev * q_prev
         g = apply_h(ham, w, ledger, "lanczos")
         beta2 = float(np.real(np.vdot(apply_s(g), w)))
-        running = max(1.0, max(abs(a) for a in alphas), beta_prev)
+        running = max(max(abs(a) for a in alphas), beta_prev)  # scale of H
         if beta2 <= (1e-14 * running) ** 2:
             # invariant subspace found (or numerical loss); stop this sweep
             break
@@ -89,8 +90,7 @@ def _tridiagonal_pass(
         q_prev, q = q, w / beta
         z = g / beta
         beta_prev = beta
-    broke_early = len(alphas) < steps
-    return np.array(alphas), np.array(betas), broke_early
+    return np.array(alphas), np.array(betas)
 
 
 def estimate_bounds(
@@ -105,9 +105,9 @@ def estimate_bounds(
     mu_1 is the smallest Ritz value inflated by SAFETY_INFLATION, mu_n its
     reflection, and mu_nevex the density cutoff where the cumulative
     counting weight over the negative nodes reaches nevex/n (see
-    `_density_cutoff`).  At most min(steps, n) steps run.  Breakdown
-    before min(4, steps, n) completed steps restarts from a fresh seeded
-    vector, at most MAX_RESTARTS times.
+    `_density_cutoff`).  One pass from substream(seed, 0) runs at most
+    min(steps, n) steps; a breakdown ends it early with exact nodes, and
+    the bounds use the steps it completed, cut to an even count.
     """
     if steps < 2 or steps % 2:
         raise ValidationError(f"steps must be even and >= 2, got {steps}")
@@ -119,19 +119,8 @@ def estimate_bounds(
     # node whose upper neighbor is its own copy puts the midpoint cutoff
     # on an eigenvalue (n = 2m is even, so the cap keeps the even steps)
     steps = min(steps, ham.n)
-    needed = min(4, steps)
-    alphas = np.empty(0)
-    betas = np.empty(0)
-    for attempt in range(MAX_RESTARTS + 1):
-        start = rng.complex_normals(rng.substream(seed, attempt), ham.n)
-        alphas, betas, broke_early = _tridiagonal_pass(ham, start, steps, ledger)
-        if not broke_early or len(alphas) >= needed:
-            break
-    if len(alphas) < needed:
-        raise LanczosBreakdownError(
-            f"Lanczos broke down before {needed} steps on "
-            f"{MAX_RESTARTS + 1} start vectors"
-        )
+    start = rng.complex_normals(rng.substream(seed, 0), ham.n)
+    alphas, betas = _tridiagonal_pass(ham, start, steps, ledger)
     if len(alphas) % 2:  # keep the even-step convention after truncation
         alphas = alphas[:-1]
         betas = betas[: len(alphas) - 1]

@@ -379,6 +379,37 @@ class TestMatrixMarketPair:
             assert (out / name).read_bytes() == (ref / name).read_bytes()
 
 
+def _write_pair(path, a, b):
+    path.mkdir(parents=True, exist_ok=True)
+    fileio.write_matrix_market(path / "A.mtx", a)
+    fileio.write_matrix_market(path / "B.mtx", b)
+    return path / "A.mtx", path / "B.mtx"
+
+
+class TestTwoPointSpectrumPair:
+    """A = I_4, B = 0: H has only the eigenvalues +-1, so the Lanczos pass
+    breaks down after two steps; solve and bench exited 4."""
+
+    def test_solve_converges(self, runner, tmp_path):
+        a, b = _write_pair(tmp_path / "in", np.eye(4), np.zeros((4, 4)))
+        result = _solve(runner, a, b, tmp_path / "out")
+        assert result.exit_code == 0, result.output
+        text = (tmp_path / "out" / "eigenvalues.csv").read_text()
+        assert "# converged: true\n" in text
+        rows = _eigenvalue_rows(tmp_path / "out")
+        assert rows[0] == "index,eigenvalue,residual" and len(rows) == 2
+        assert float(rows[1].split(",")[1]) == pytest.approx(-1.0, rel=1e-12)
+
+    def test_bench_runs(self, runner, tmp_path):
+        a, b = _write_pair(tmp_path / "in", np.eye(4), np.zeros((4, 4)))
+        result = runner.invoke(
+            cli, ["bench", "--a", str(a), "--b", str(b), "--nev", "1", "--reps", "1",
+                  "--out", str(tmp_path / "out")],
+        )
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "out" / "bench.csv").exists()
+
+
 class TestOracleCommand:
     def test_2x2_closed_form(self, runner, tmp_path):
         fileio.write_matrix_market(tmp_path / "A.mtx", np.array([[2.0]]))
@@ -540,6 +571,20 @@ class TestVerifyCommand:
         assert result.exit_code == 0, result.output
         assert "5/5 checks passed" in result.output
 
+    @pytest.mark.parametrize("a, b", [
+        (np.eye(4), np.zeros((4, 4))),
+        (np.diag([1.0, 1, 1, 1, 2, 2, 2, 2]), 0.3 * np.eye(8)),
+    ], ids=["identity", "two_clusters"])
+    def test_repeated_target_eigenvalue_passes(self, runner, tmp_path, a, b):
+        # the quadratic sweep took its complement from eigenvectors that
+        # share the target eigenvalue, so its Ritz value was exact for every
+        # eps: "FAIL quadratic_ritz_convergence: hermitian slope 142.324"
+        a_path, b_path = _write_pair(tmp_path, a, b)
+        result = runner.invoke(cli, ["verify", "--a", str(a_path), "--b", str(b_path)])
+        assert result.exit_code == 0, result.output
+        assert "PASS  quadratic_ritz_convergence: hermitian slope 2.000" in result.output
+        assert "12/12 checks passed" in result.output
+
     def test_singular_direction_detection_reported(self, runner):
         result = runner.invoke(cli, ["verify", "--m", "6", "--seed", "1"])
         assert result.exit_code == 0
@@ -589,8 +634,12 @@ class TestBenchCommand:
     def test_every_solver_field_is_a_parameter(self, command):
         # both commands build SolverConfig(**options): a field without a
         # parameter of the same name would silently keep its default
-        params = {p.name for p in cli.commands[command].params}
-        assert {f.name for f in fields(SolverConfig)} <= params
+        # and each default is SolverConfig's, so the two cannot drift apart
+        params = {p.name: p for p in cli.commands[command].params}
+        assert {f.name for f in fields(SolverConfig)} <= set(params)
+        for f in fields(SolverConfig):
+            if f.name != "nev":  # required, no default
+                assert params[f.name].default == f.default, f.name
 
     def test_filter_dominates_modeled_flops(self, runner, tmp_path):
         a, b = _generate_inputs(runner, tmp_path / "in", m=64, seed=1)

@@ -6,7 +6,6 @@ import pytest
 from bsesolve import (
     BseHamiltonian,
     GeneratorSpec,
-    LanczosBreakdownError,
     SolverConfig,
     ValidationError,
     direct_solve_definite,
@@ -92,12 +91,24 @@ class TestEstimateBounds:
 
     def test_degenerate_spectrum_breaks_down(self):
         # H from A=I, B=0 has minimal polynomial degree 2: every Krylov
-        # space collapses after two steps, so steps >= 4 cannot be reached
+        # space closes after two steps, and its two nodes are the exact
+        # eigenvalues; a breakdown before 4 steps raised after 3 restarts
         ham = BseHamiltonian(np.eye(4), np.zeros((4, 4)))
-        with pytest.raises(LanczosBreakdownError):
-            estimate_bounds(ham, nevex=1, steps=8, seed=0)
-        bounds = estimate_bounds(ham, nevex=1, steps=2, seed=0)
-        assert bounds.mu_1 == pytest.approx(-1.01)
+        bounds = estimate_bounds(ham, nevex=1, steps=8, seed=0)
+        assert bounds.steps == 2
+        np.testing.assert_allclose(bounds.ritz_values, [-1.0, 1.0], rtol=0, atol=1e-14)
+        assert bounds.mu_1 == pytest.approx(-1.01, rel=1e-14)
+        assert bounds.mu_nevex == pytest.approx(0.0, abs=1e-14)  # the midpoint
+
+    def test_breakdown_is_relative_to_the_scale_of_h(self):
+        # an absolute floor on beta ended the pass after one step when
+        # |lambda| < 1e-14, leaving no node to bound the spectrum
+        ham = BseHamiltonian(1e-20 * np.diag([1.0, 2.0, 3.0, 4.0]), np.zeros((4, 4)))
+        bounds = estimate_bounds(ham, nevex=1, seed=0)
+        assert bounds.steps == 8
+        np.testing.assert_allclose(
+            bounds.ritz_values, 1e-20 * np.array([-4, -3, -2, -1, 1, 2, 3, 4.0]), rtol=1e-8
+        )
 
     def test_deterministic_per_seed(self, ham_mid):
         b1 = estimate_bounds(ham_mid, nevex=4, steps=24, seed=5)

@@ -700,6 +700,39 @@ class TestDefaultBlockWidth:
             assert narrow.ledger.total_flops() < wide.ledger.total_flops()
 
 
+def _check_two_point_spectrum(a, b, m, nev, nex):
+    res = solve(BseHamiltonian(a * np.eye(m), b * np.eye(m)), SolverConfig(nev=nev, nex=nex))
+    assert res.converged
+    lam = -np.sqrt(a * a - b * b)
+    np.testing.assert_allclose(res.lambdas, np.full(nev, lam), rtol=1e-12, atol=0)
+
+
+class TestTwoPointSpectrum:
+    """A = a I, B = b I: the spectrum is +-sqrt(a^2 - b^2) alone, so the
+    Lanczos recurrence breaks down after two steps from any start; every
+    such solve aborted while a breakdown before four steps counted as a
+    failure."""
+
+    @pytest.mark.parametrize("nex", [None, 0])
+    @pytest.mark.parametrize("m, nev", [(2, 1), (4, 1), (4, 2), (64, 1), (64, 32)])
+    def test_converges_to_the_exact_eigenvalue(self, m, nev, nex):
+        _check_two_point_spectrum(2.0, 0.5, m, nev, nex)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_any_scale_and_coupling(self, data):
+        # the tolerance is absolute (1e-8), so |lambda| >= 0.1 * sqrt(1 -
+        # 0.99^2) keeps 1e-12 relative within reach; up to b / a = 0.99 the
+        # pass breaks down after two steps, and past it rounding keeps the
+        # recurrence going (b / a = 0.999 stalls, see CHANGES.md)
+        a = data.draw(st.floats(0.1, 1e3), label="a")
+        b = a * data.draw(st.floats(0.0, 0.99), label="b / a")
+        m = data.draw(st.sampled_from([2, 4, 64]), label="m")
+        nev = data.draw(st.sampled_from([1, m // 2]), label="nev")
+        nex = data.draw(st.sampled_from([None, 0]), label="nex")
+        _check_two_point_spectrum(a, b, m, nev, nex)
+
+
 class TestPositiveHalfPurge:
     """Row 1 filters with the density cutoff, row 2 with cutoff 0."""
 
