@@ -10,25 +10,39 @@ The recurrence runs in Q* coordinates.  With the unitary
 Q = [[I, iI], [I, -iI]] / sqrt(2), Q* H Q = i J R, where R = Q* (S H) Q is
 the real symmetric form (`hamiltonian.real_symmetric_form`) and
 J = [[0, I], [-I, 0]] (Shao, da Jornada, Yang, Deslippe & Lin, LAA 488,
-2016).  The filter
-coefficients are real, so the whole recurrence runs on the n x 2k real
-block Y = [Re(y) | Im(y)] with y = Q* x / sqrt(2): the filter converts
-into it once at entry and back once at exit.  One product is one GEMM
-Z = R Y, formed as Z^T = Y^T R^T into a C-order buffer, and i J Z is a
-fixed remap of Z's quadrants with two signs (new real part
-[-Z_im[m:]; Z_im[:m]], new imaginary part [Z_re[m:]; -Z_re[:m]]), which
-the elementwise update of the recurrence reads in place.  R is exactly
-symmetric, so R^T is R; for an F-order R, R^T is a C-order view, and
-numpy issues the NN sgemm, which OpenBLAS 0.3.31 runs 8-25 % faster than
-the NT one that Y^T R issues (one thread, n = 512 to 2048, k = 32 to
-64).  The two orientations round differently at small shapes, which the
-corrected filter must not depend on (see below).
+2016).  The filter coefficients are real, so the whole recurrence runs on
+a real n x 2k block holding y = Q* x / sqrt(2), in the dtype of the R it
+is handed: the filter converts into it once at entry and back once at
+exit, and each product is one real GEMM Z = R Y.
 
-The recurrence runs in the dtype of the R it is handed: the solver passes
-the float32 R it builds once per solve from the blocks, so the GEMMs run
-as sgemm; without one the filter builds a float64 R for that call alone
-and drops it on return.  The plain filter's float32 output is accurate to
-a small multiple of float32's unit roundoff relative to ||x||.
+The solver passes the float32 R it builds once per solve from the blocks,
+so every filter call of a solve runs in float32, on a row-major block: y
+is a C-order complex64 n x k array (`to_complex_rows`), whose float32 view
+is the n x 2k block with each column's real and imaginary parts side by
+side.  R is exactly symmetric, so for the F-order R the C-order view R^T is
+R, and Z = R^T Y is one sgemm on C-order operands, which OpenBLAS 0.3.31
+runs with the narrow block as M (M = 2k, N = K = n).  Read as complex,
+i J Z = [i Z2; -i Z1]: two contiguous half-block updates of the
+recurrence.  Against the column-major [Re(y) | Im(y)] block the float32
+path used before, whose sgemm took n as M, a product at n = 2048 took
+0.71-0.79 times as long for 2k = 2 to 80 (1.81 -> 1.41 ms at 2k = 2,
+2.52 -> 1.89 ms at 2k = 16, 4.84 -> 3.81 ms at 2k = 80; two threads), and
+whole filter calls 0.55-0.95 times as long (n = 512 and 2048, k = 4 to
+320).  Each element of Z is the same dot product, and the output equals
+the column-major block's bit for bit on every call tried except narrow
+blocks at small n (k <= 4 at n <= 256, k = 1 at n = 512), where OpenBLAS's
+small-matrix sgemm rounds the two orientations apart by about eps32.
+
+Without a real_form the filter builds a float64 R for that call alone,
+drops it on return, and keeps the column-major block
+Y = [Re(y) | Im(y)] (`hamiltonian.to_real_block`): Z^T = Y^T R^T into a
+C-order buffer (the NN dgemm), and i J Z a fixed remap of Z's quadrants
+with two signs, which the elementwise update reads in place.  Row-major
+dgemm ran 1.2-1.5 times slower at n = 2048, and rounds a column
+differently depending on the block's width, where a float64 call must
+give a single vector the bits of its column in a block.  The plain
+filter's float32 output is accurate to a small multiple of float32's unit
+roundoff relative to ||x||.
 
 The corrected filter removes that floor on Ritz pairs (mixed-precision
 defect correction; Higham & Mary, Acta Numerica 31, 2022).  For a Ritz
@@ -106,6 +120,121 @@ def residual_shifts(ritz_values, cfg: FilterConfig) -> np.ndarray:
     return np.where(inside, values, c)
 
 
+#: Columns per pass of the conversions between an F-order x and the C-order
+#: block: at n = 2048, k = 320 one pass over all columns took 16 ms in and
+#: 10 ms out, passes of 16 columns 5 and 6 ms (two threads).
+_PASS_COLUMNS = 16
+
+
+def _column_passes(k: int) -> list[slice]:
+    return [slice(j, j + _PASS_COLUMNS) for j in range(0, k, _PASS_COLUMNS)]
+
+
+def to_complex_rows(x: np.ndarray) -> np.ndarray:
+    """y = Q* x / sqrt(2) = [x1 + x2; i (x2 - x1)] / 2 as a C-order complex64 array.
+
+    The float32 filter's block: its float32 view is the row-major n x 2k
+    real block, each column's real and imaginary parts side by side.  Each
+    sum is formed in float64 and rounded once, then scaled exactly by 1/2,
+    as in `to_real_block`.  x is a 2-D complex array with an even row count.
+    """
+    m = x.shape[0] // 2
+    y = np.empty(x.shape, dtype=np.complex64)
+    for c in _column_passes(x.shape[1]):
+        np.add(x[:m, c], x[m:, c], out=y[:m, c])
+        np.subtract(x[m:, c], x[:m, c], out=y[m:, c])
+    y[m:] *= 1j
+    y.view(np.float32)[...] *= 0.5
+    return y
+
+
+def from_complex_rows(y: np.ndarray) -> np.ndarray:
+    """sqrt(2) Q y = [y1 + i y2; y1 - i y2] as an F-order complex128 array.
+
+    The inverse of to_complex_rows, rounded in complex64 like
+    `from_real_block` rounds in float32.  It overwrites y's lower half
+    with i y2.
+    """
+    m = y.shape[0] // 2
+    x = np.empty(y.shape, dtype=np.complex128, order="F")
+    y[m:] *= 1j
+    for c in _column_passes(y.shape[1]):
+        np.add(y[:m, c], y[m:, c], out=x[:m, c])
+        np.subtract(y[:m, c], y[m:, c], out=x[m:, c])
+    return x
+
+
+class _RowBlock:
+    """The float32 recurrence block: the float32 view of `to_complex_rows`.
+
+    One product Z = R Y is one sgemm on C-order operands (R^T is R), which
+    OpenBLAS runs with the narrow block as M.  In complex terms
+    i J Z = [i Z2; -i Z1], two contiguous half-block updates.
+    """
+
+    def __init__(self, r: np.ndarray, m: int, k: int):
+        self.rt, self.m = r.T, m
+        self.z = np.empty((2 * m, 2 * k), dtype=r.dtype)  # Z, the GEMM output
+        self.scratch = np.empty_like(self.z)
+
+    def load(self, x):
+        return to_complex_rows(x).view(np.float32)
+
+    def unload(self, y):
+        """The complex128 output; the work buffers go first."""
+        del self.z, self.scratch
+        return from_complex_rows(y.view(np.complex64))
+
+    def spread(self, coef):
+        """Per-column coefficients laid along the block's real columns."""
+        return np.repeat(coef, 2)
+
+    def add_product(self, y, out, alpha):
+        """out += alpha i J R y, in place."""
+        m = self.m
+        np.matmul(self.rt, y, out=self.z)
+        z = self.z.view(np.complex64)
+        z *= 1j * alpha
+        out[:m] += self.z[m:]
+        out[m:] -= self.z[:m]
+
+
+class _ColumnBlock:
+    """The float64 recurrence block: Y = [Re(y) | Im(y)] in F order (`to_real_block`).
+
+    One product is Z^T = Y^T R^T into a C-order buffer, and i J Z is a
+    fixed remap of Z's quadrants with two signs.
+    """
+
+    def __init__(self, r: np.ndarray, m: int, k: int):
+        self.r, self.m, self.k = r, m, k
+        self.zt = np.empty((2 * k, 2 * m), dtype=r.dtype)  # Z^T, the GEMM output
+        self.scratch = np.empty((2 * m, 2 * k), dtype=r.dtype, order="F")
+
+    def load(self, x):
+        return to_real_block(x, self.r.dtype)
+
+    def unload(self, y):
+        """The complex128 output; the work buffers go first."""
+        del self.zt, self.scratch
+        return from_real_block(y)
+
+    def spread(self, coef):
+        """Per-column coefficients laid along the block's real columns."""
+        return np.tile(coef, 2)
+
+    def add_product(self, y, out, alpha):
+        """out += alpha i J R y, in place."""
+        m, k = self.m, self.k
+        np.matmul(y.T, self.r.T, out=self.zt)
+        z = self.zt.T
+        z *= alpha
+        out[:m, :k] -= z[m:, k:]
+        out[m:, :k] += z[:m, k:]
+        out[:m, k:] += z[m:, :k]
+        out[m:, k:] -= z[:m, :k]
+
+
 def chebyshev_filter(
     ham: BseHamiltonian,
     vhat,
@@ -130,31 +259,22 @@ def chebyshev_filter(
         raise ValidationError(f"operand has {x.shape[0]} rows, expected {ham.n}")
     cols = x if x.ndim == 2 else x[:, None]
     r = real_symmetric_form(ham) if real_form is None else real_form
-    dtype = r.dtype
-    m, k = ham.m, cols.shape[1]
+    k = cols.shape[1]
+    block = (_RowBlock if r.dtype == np.float32 else _ColumnBlock)(r, ham.m, k)
     c, e = cfg.center, cfg.half_width
     sigma1 = e / (cfg.scale_ref - c)
     sigma = sigma1
 
-    zt = np.empty((2 * k, ham.n), dtype=dtype)  # Z^T, the GEMM output
-    scratch = np.empty((ham.n, 2 * k), dtype=dtype, order="F")
-
     def step(y, y_prev, alpha, beta):
         """y_prev <- alpha * (i J R y - c y) - beta * y_prev, in place."""
-        np.matmul(y.T, r.T, out=zt)
-        z = zt.T
-        z *= alpha
         y_prev *= -beta
-        np.multiply(y, alpha * c, out=scratch)
-        y_prev -= scratch
-        y_prev[:m, :k] -= z[m:, k:]
-        y_prev[m:, :k] += z[:m, k:]
-        y_prev[:m, k:] += z[m:, :k]
-        y_prev[m:, k:] -= z[:m, :k]
+        np.multiply(y, alpha * c, out=block.scratch)
+        y_prev -= block.scratch
+        block.add_product(y, y_prev, alpha)
         return y_prev
 
     if ritz_values is None:
-        y_prev = to_real_block(cols, dtype)
+        y_prev = block.load(cols)
         y = step(y_prev, np.zeros_like(y_prev), sigma1 / e, 0.0)
         products = cfg.degree
     else:
@@ -162,7 +282,7 @@ def chebyshev_filter(
         shift = residual_shifts(ritz_values, cfg)
         lam = np.asarray(ritz_values, dtype=np.float64)
         source = np.asarray(residual, dtype=np.complex128).reshape(cols.shape)
-        source = to_real_block(source + cols * (lam - shift), dtype)
+        source = block.load(source + cols * (lam - shift))
         y_prev, y = np.zeros_like(source), source * (sigma1 / e)
         gain_prev, gain = np.ones(k), (shift - c) * (sigma1 / e)
         products = cfg.degree - 1
@@ -171,15 +291,13 @@ def chebyshev_filter(
         alpha, beta = 2.0 * sigma_new / e, sigma * sigma_new
         y_prev, y = y, step(y, y_prev, alpha, beta)
         if ritz_values is not None:
-            coef = (alpha * gain).astype(dtype)
-            np.multiply(source[:, :k], coef, out=scratch[:, :k])
-            np.multiply(source[:, k:], coef, out=scratch[:, k:])
-            y += scratch
+            coef = block.spread((alpha * gain).astype(r.dtype))
+            y += np.multiply(source, coef, out=block.scratch)
             gain_prev, gain = gain, alpha * (shift - c) * gain - beta * gain_prev
         sigma = sigma_new
     if ledger is not None:
         ledger.add_flops("filter", products * 4.0 * ham.n * ham.n * k)
-    out = from_real_block(y)
+    out = block.unload(y)
     if ritz_values is not None:
         out += cols * gain
     return out.reshape(x.shape)

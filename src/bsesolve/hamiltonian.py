@@ -12,13 +12,13 @@ Products run on the blocks: H x = [s1; -conj(s2)] with
 m x 2k GEMMs, 8*n^2*k real FLOPs for k columns.  The real symmetric n x n
 form R = Q* (S H) Q with Q = [[I, iI], [I, -iI]] / sqrt(2)
 (`real_symmetric_form`) is what the Chebyshev filter runs on.  Since
-Q* S Q = i J, Q* H Q = i J R: the filter stays in the real block
-coordinates of `to_real_block` for a whole polynomial and converts back
-only at its end (see `chebyshev`).  R = R^T holds exactly because
-construction makes A exactly hermitian and B exactly symmetric; the
-filter's GEMM relies on it.  R is built in the dtype its user asks for: a
-solve builds one float32 R, once its certificate passes, and drops it on
-return.  The definiteness certificate (`is_definite`) forms no
+Q* S Q = i J, Q* H Q = i J R: the filter stays in Q* coordinates for a
+whole polynomial and converts back only at its end (see `chebyshev`;
+`to_real_block` is the float64 filter's block).  R = R^T holds exactly
+because construction makes A exactly hermitian and B exactly symmetric;
+the filter's GEMM relies on it.  R is built in the dtype its user asks
+for: a solve builds one float32 R, once its certificate passes, and drops
+it on return.  The definiteness certificate (`is_definite`) forms no
 n x n array: it is one Schur-complement step on the m x m blocks of R,
 formed directly from A and B.  `invert_lower` inverts every Cholesky
 factor bsesolve needs inverted, here, in CholQR2 and in the projection.
@@ -218,9 +218,11 @@ def apply_j(x) -> np.ndarray:
 def to_real_block(x: np.ndarray, dtype=np.float64) -> np.ndarray:
     """Y = [Re(y) | Im(y)] with y = Q* x / sqrt(2), an F-order n x 2k block.
 
-    Q* x / sqrt(2) = [x1 + x2; i (x2 - x1)] / 2 is written by sums and sign
-    flips and one exact scaling by 1/2.  x is a 2-D complex array with an
-    even row count.
+    The block of the float64 filter (a call without a real_form); the
+    float32 filter runs on `chebyshev.to_complex_rows`, the same numbers
+    row-major.  Q* x / sqrt(2) = [x1 + x2; i (x2 - x1)] / 2 is written by
+    sums and sign flips and one exact scaling by 1/2.  x is a 2-D complex
+    array with an even row count.
     """
     m, k = x.shape[0] // 2, x.shape[1]
     x1r, x1i = x[:m].real, x[:m].imag
@@ -237,7 +239,9 @@ def to_real_block(x: np.ndarray, dtype=np.float64) -> np.ndarray:
 def from_real_block(y: np.ndarray) -> np.ndarray:
     """sqrt(2) Q y = [y1 + i y2; y1 - i y2] as complex128 from Y = [Re(y) | Im(y)].
 
-    The inverse of to_real_block: from_real_block(to_real_block(x)) is x.
+    The inverse of to_real_block: from_real_block(to_real_block(x)) is x
+    up to rounding in the block's dtype, and exactly x when the sums are
+    exact in it.
     """
     m, k = y.shape[0] // 2, y.shape[1] // 2
     y1r, y1i = y[:m, :k], y[:m, k:]

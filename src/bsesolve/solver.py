@@ -25,10 +25,12 @@ width.  Against nex = nev the rule takes up to two more iterations and
 saves 15 % or more of the modeled FLOPs at nev >= 16, 19 % or more at
 nev >= 32 (n = 512 to 2048, nev up to 256), and it stays within 12 % of
 the cheapest nex of a sweep from nev/8 to nev on each of those instances.
-Below 8 columns of extension the narrow sgemms run under the GEMM rate
-and the iterations climb (n = 2048, nev = 8: nex = 3 took 9 iterations
-against 7 and ran slower), and nex <= 2 can stall at large n; min(nev, .)
-keeps every config that nex = nev validated.
+Below 8 columns of extension the iterations climb faster than the
+products shrink (n = 2048, nev = 8: nex = 3 took 9 iterations against 7
+and ran slower; every product reads all of R, so at n = 2048 one on
+2k = 20 real columns took 82 % of the time of one on 32, `BENCH_24.json`),
+and nex <= 2 can stall at large n; min(nev, .) keeps every config that
+nex = nev validated.
 
 A solve holds A, B and one n x n array, the float32 real form R.  The
 Chebyshev filter, most of a solve's time, runs on it in float32 on every
@@ -55,7 +57,8 @@ nex = 1 solve stalled near 2e-8, or not, depending on which sgemm kernel
 rounded.  The deflation changes the filter's output by q(H) Y c =
 Y q(Lambda) c, a span(Y) term of the size of the locked residuals, which
 the same projection removes from the filtered block in `s_orthonormalize`.
-The sgemm runs in its faster NN orientation (see `chebyshev`).
+The sgemm runs on a row-major complex64 block, with the narrow block as
+its M (see `chebyshev`).
 Orthonormalization, both Rayleigh-Ritz variants, the residuals, locking
 and Lanczos always run in float64.  Each iteration makes one float64
 H-product, H Q in the projection: the residuals R are written over
@@ -143,10 +146,17 @@ class SolverConfig:
             raise ValidationError(f"nev must be >= 1, got {self.nev}")
         if self.nex is not None and self.nex < 0:
             raise ValidationError(f"nex must be >= 0, got {self.nex}")
-        if self.nevex > n // 2:
+        half = n // 2
+        if self.nev > half:
+            raise ValidationError(f"nev = {self.nev} exceeds n/2 = {half}")
+        if self.nevex > half and self.nex is None:
             raise ValidationError(
-                f"nev + nex = {self.nevex} exceeds n/2 = {n // 2}"
+                f"nev + nex = {self.nevex} exceeds n/2 = {half} with the default "
+                f"nex = {_default_nex(self.nev)}; set nex (--nex) to at most "
+                f"{half - self.nev}"
             )
+        if self.nevex > half:
+            raise ValidationError(f"nev + nex = {self.nevex} exceeds n/2 = {half}")
         if self.deg < 1:
             raise ValidationError(f"deg must be >= 1, got {self.deg}")
         if not 0 < self.tol < np.inf:  # also rejects NaN

@@ -17,8 +17,8 @@ from bsesolve import (
     scalar_filter_value,
     solve,
 )
-from bsesolve.chebyshev import residual_shifts
-from bsesolve.hamiltonian import real_symmetric_form
+from bsesolve.chebyshev import from_complex_rows, residual_shifts, to_complex_rows
+from bsesolve.hamiltonian import from_real_block, real_symmetric_form, to_real_block
 from bsesolve.metrics import PhaseLedger
 
 from conftest import LAM2, dense_filter
@@ -179,12 +179,76 @@ class TestFilterPrecision:
         big = [v for v in vars(ham).values() if isinstance(v, np.ndarray) and v.size >= ham.n**2]
         assert big == []
 
+    @pytest.mark.parametrize("m", [16, 256])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+    def test_narrow_blocks_track_float64(self, m, k):
+        # below 2k = 16 real columns OpenBLAS runs the float32 products on
+        # its M-edge kernels, which the widths above barely reach
+        ham, bounds, v, lam, r = _ritz_pairs(m, k, 1e-3, k)
+        cfg = FilterConfig.from_bounds(bounds, 20)
+        r32 = real_symmetric_form(ham, np.float32)
+        for corrected in ((), (None, lam, r)):
+            out64 = chebyshev_filter(ham, v, cfg, *corrected)
+            out32 = chebyshev_filter(ham, v, cfg, *corrected, real_form=r32)
+            assert np.abs(out32 - out64).max() <= self.RTOL * np.abs(out64).max(), corrected
 
-def _ritz_pairs(m, seed, rel_residual):
-    """Eigenpairs of an n = 2m instance perturbed to residuals near
-    rel_residual * |mu_1|, with the bounds of a nevex = 2k filter."""
+
+class TestBlockConversions:
+    """y = Q* x / sqrt(2) in and sqrt(2) Q y out, for both filter blocks."""
+
+    @staticmethod
+    def _operand(seed, n=64, k=5, integer=False):
+        gen = np.random.default_rng(seed)
+        if integer:
+            return gen.integers(-999, 1000, (n, k)) + 1j * gen.integers(-999, 1000, (n, k))
+        return gen.standard_normal((n, k)) + 1j * gen.standard_normal((n, k))
+
+    def test_column_block_round_trips_exactly(self):
+        # integer entries make every sum and the halving exact
+        x = self._operand(0, integer=True)
+        for dtype in (np.float64, np.float32):
+            np.testing.assert_array_equal(from_real_block(to_real_block(x, dtype)), x)
+
+    def test_row_block_round_trips_exactly(self):
+        x = self._operand(1, integer=True)
+        np.testing.assert_array_equal(from_complex_rows(to_complex_rows(x)), x)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_round_trips_to_working_precision(self, k):
+        x = self._operand(2, k=k)
+        scale = np.abs(x).max()
+        back64 = from_real_block(to_real_block(x))
+        assert np.abs(back64 - x).max() <= np.finfo(np.float64).eps * scale
+        back32 = from_complex_rows(to_complex_rows(x))
+        assert np.abs(back32 - x).max() <= np.finfo(np.float32).eps * scale
+
+    def test_row_block_is_q_star_x(self):
+        x = self._operand(3)
+        m = x.shape[0] // 2
+        ref = np.concatenate([x[:m] + x[m:], 1j * (x[m:] - x[:m])]) / 2
+        y = to_complex_rows(x)
+        assert y.dtype == np.complex64 and y.flags.c_contiguous
+        assert np.abs(y - ref).max() <= np.finfo(np.float32).eps * np.abs(ref).max()
+
+    def test_row_block_rounds_as_the_column_block(self):
+        # the same float32 numbers in either layout, rounded the same way
+        x = self._operand(4)
+        k = x.shape[1]
+        y = to_complex_rows(x)
+        cols = to_real_block(x, np.float32)
+        np.testing.assert_array_equal(y.real, cols[:, :k])
+        np.testing.assert_array_equal(y.imag, cols[:, k:])
+        out = from_complex_rows(y)
+        assert out.dtype == np.complex128 and out.flags.f_contiguous
+        np.testing.assert_array_equal(out, from_real_block(cols))
+
+
+def _ritz_pairs(m, seed, rel_residual, k=None):
+    """k eigenpairs (default max(2, m // 16)) of an n = 2m instance perturbed
+    to residuals near rel_residual * |mu_1|, with the bounds of a nevex = 2k
+    filter."""
     ham = generate(GeneratorSpec(m=m, seed=m + seed))
-    k = max(2, m // 16)
+    k = max(2, m // 16) if k is None else k
     bounds = estimate_bounds(ham, nevex=2 * k, steps=24, seed=1)
     eig = direct_solve_definite(ham)
     noise = rng.complex_normal_matrix(rng.substream(seed, 9), ham.n, k)

@@ -155,6 +155,34 @@ class TestSolveCommand:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("extra, message", [
+        # nev alone over n/2: nex plays no part
+        (["--nev", "9"], "error: nev = 9 exceeds n/2 = 8\n"),
+        (["--nev", "9", "--nex", "0"], "error: nev = 9 exceeds n/2 = 8\n"),
+        # the default nex (min(nev, 8) = 7) pushes the block over
+        (["--nev", "7"], "error: nev + nex = 14 exceeds n/2 = 8 with the default "
+                         "nex = 7; set nex (--nex) to at most 1\n"),
+        (["--nev", "8"], "error: nev + nex = 16 exceeds n/2 = 8 with the default "
+                         "nex = 8; set nex (--nex) to at most 0\n"),
+        # an explicit nex is the user's own
+        (["--nev", "4", "--nex", "5"], "error: nev + nex = 9 exceeds n/2 = 8\n"),
+    ])
+    def test_oversized_block_names_its_cause(self, runner, tmp_path, extra, message):
+        a, b = _generate_inputs(runner, tmp_path / "in", m=8, seed=2)
+        result = runner.invoke(
+            cli, ["solve", "--a", str(a), "--b", str(b), *extra, "--out", str(tmp_path / "out")],
+        )
+        assert result.exit_code == 2
+        assert result.output == message
+
+    def test_largest_nex_named_by_the_error_fits(self, runner, tmp_path):
+        a, b = _generate_inputs(runner, tmp_path / "in", m=8, seed=2)
+        result = runner.invoke(
+            cli, ["solve", "--a", str(a), "--b", str(b), "--nev", "7", "--nex", "1",
+                  "--out", str(tmp_path / "out")],
+        )
+        assert result.exit_code == 0, result.output
+
     def test_infinite_tol_is_validation_error(self, runner, tmp_path):
         a, b = _generate_inputs(runner, tmp_path / "in", m=8, seed=2)
         result = runner.invoke(

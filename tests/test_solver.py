@@ -571,10 +571,12 @@ class TestFilterPrecision:
 
     @pytest.mark.parametrize("coupling", [0.5, 0.999])
     def test_converges_in_either_gemm_orientation(self, monkeypatch, coupling):
-        # a C-order R turns the filter's NN sgemm into the NT one, which
-        # rounds differently; before the locked components were deflated
-        # from the residual block, the C-order solves stalled at 2.9e-8 and
-        # 2.1e-8 and ran to maxiter
+        # the filter hands sgemm the C-order view R^T of an F-order R; a
+        # C-order R makes that view F-order, so sgemm reads R transposed,
+        # which rounds differently on narrow blocks (k <= 2 at n <= 512).
+        # Before the locked components were deflated from the residual
+        # block, the C-order solves (then on the [Re | Im] block) stalled
+        # at 2.9e-8 and 2.1e-8 and ran to maxiter
         filt = solver.chebyshev_filter
         ham = generate(GeneratorSpec(m=32, seed=2, coupling_ratio=coupling))
         for order in ("F", "C"):
