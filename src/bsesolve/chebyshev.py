@@ -138,11 +138,21 @@ def to_complex_rows(x: np.ndarray) -> np.ndarray:
     sum is formed in float64 and rounded once, then scaled exactly by 1/2,
     as in `to_real_block`.  x is a 2-D complex array with an even row count.
     """
-    m = x.shape[0] // 2
-    y = np.empty(x.shape, dtype=np.complex64)
-    for c in _column_passes(x.shape[1]):
-        np.add(x[:m, c], x[m:, c], out=y[:m, c])
-        np.subtract(x[m:, c], x[:m, c], out=y[m:, c])
+    return _complex_rows(x.shape, lambda c: x[:, c])
+
+
+def _complex_rows(shape: tuple[int, int], columns) -> np.ndarray:
+    """`to_complex_rows` of the n x k array whose columns c are columns(c).
+
+    columns is called once per pass of columns, so an x formed from other
+    arrays never exists in full.
+    """
+    m = shape[0] // 2
+    y = np.empty(shape, dtype=np.complex64)
+    for c in _column_passes(shape[1]):
+        xc = columns(c)
+        np.add(xc[:m], xc[m:], out=y[:m, c])
+        np.subtract(xc[m:], xc[:m], out=y[m:, c])
     y[m:] *= 1j
     y.view(np.float32)[...] *= 0.5
     return y
@@ -175,10 +185,14 @@ class _RowBlock:
     def __init__(self, r: np.ndarray, m: int, k: int):
         self.rt, self.m = r.T, m
         self.z = np.empty((2 * m, 2 * k), dtype=r.dtype)  # Z, the GEMM output
-        self.scratch = np.empty_like(self.z)
+        self.scratch = self.z  # free between the products
 
     def load(self, x):
         return to_complex_rows(x).view(np.float32)
+
+    def load_shifted(self, r, v, d):
+        """The block of r + v diag(d), formed one pass of columns at a time."""
+        return _complex_rows(r.shape, lambda c: r[:, c] + v[:, c] * d[c]).view(np.float32)
 
     def unload(self, y):
         """The complex128 output; the work buffers go first."""
@@ -209,10 +223,14 @@ class _ColumnBlock:
     def __init__(self, r: np.ndarray, m: int, k: int):
         self.r, self.m, self.k = r, m, k
         self.zt = np.empty((2 * k, 2 * m), dtype=r.dtype)  # Z^T, the GEMM output
-        self.scratch = np.empty((2 * m, 2 * k), dtype=r.dtype, order="F")
+        self.scratch = self.zt.T  # free between the products, in Y's layout
 
     def load(self, x):
         return to_real_block(x, self.r.dtype)
+
+    def load_shifted(self, r, v, d):
+        """The block of r + v diag(d)."""
+        return to_real_block(r + v * d, self.r.dtype)
 
     def unload(self, y):
         """The complex128 output; the work buffers go first."""
@@ -281,8 +299,8 @@ def chebyshev_filter(
         # q_0 = 0 and q_1 = sigma1/e; gain holds p_j(lam') per column
         shift = residual_shifts(ritz_values, cfg)
         lam = np.asarray(ritz_values, dtype=np.float64)
-        source = np.asarray(residual, dtype=np.complex128).reshape(cols.shape)
-        source = block.load(source + cols * (lam - shift))
+        residual = np.asarray(residual, dtype=np.complex128).reshape(cols.shape)
+        source = block.load_shifted(residual, cols, lam - shift)
         y_prev, y = np.zeros_like(source), source * (sigma1 / e)
         gain_prev, gain = np.ones(k), (shift - c) * (sigma1 / e)
         products = cfg.degree - 1
@@ -297,9 +315,11 @@ def chebyshev_filter(
         sigma = sigma_new
     if ledger is not None:
         ledger.add_flops("filter", products * 4.0 * ham.n * ham.n * k)
+    source = None  # dropped before the complex128 output is allocated
     out = block.unload(y)
     if ritz_values is not None:
-        out += cols * gain
+        for part in _column_passes(k):
+            out[:, part] += cols[:, part] * gain[part]
     return out.reshape(x.shape)
 
 

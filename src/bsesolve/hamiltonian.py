@@ -19,9 +19,11 @@ because construction makes A exactly hermitian and B exactly symmetric;
 the filter's GEMM relies on it.  R is built in the dtype its user asks
 for: a solve builds one float32 R, once its certificate passes, and drops
 it on return.  The definiteness certificate (`is_definite`) forms no
-n x n array: it is one Schur-complement step on the m x m blocks of R,
-formed directly from A and B.  `invert_lower` inverts every Cholesky
-factor bsesolve needs inverted, here, in CholQR2 and in the projection.
+n x n array: it is a blocked Cholesky of R on its m x m blocks, formed
+directly from A and B.  Every Cholesky factorization bsesolve makes, the
+certificate's, CholQR2's and the hermitian projection's, runs in one
+kernel, `inverse_cholesky`, a recursion on numpy GEMMs whose leaves call
+numpy's Cholesky and inverse on at most 128 rows.
 
 Construction takes Fortran-order complex128 blocks without a copy and
 checks their symmetries by walking pairs of small tiles (`symmetry_defect`),
@@ -352,29 +354,107 @@ def real_symmetric_form(ham: BseHamiltonian, dtype=np.float64) -> np.ndarray:
     return r
 
 
-#: Row count at or below which `invert_lower` calls numpy.linalg.inv.
+#: Columns at or below which `inverse_cholesky` runs numpy's Cholesky and
+#: inverse: a leaf, and every call of at most this size.
 _INVERSE_LEAF = 128
 
 
-def invert_lower(lower: np.ndarray) -> np.ndarray:
-    """Overwrite a square lower triangular factor with its inverse; returns it.
+def _subtract_gram(x: np.ndarray, w: np.ndarray) -> None:
+    """x -= w w* on and below the diagonal of a square x; above it x goes stale.
 
-    numpy has no triangular solve, and scipy's would load a second BLAS, so
-    every Cholesky factor bsesolve inverts goes through here.  Recursive
-    2 x 2 blocks: invert L11 and L22 in place, then L21 <- -L22^{-1} L21
-    L11^{-1} by two GEMMs; the block above the diagonal is never written.
-    Leaves of at most _INVERSE_LEAF rows go to numpy.linalg.inv, so up to
-    that size the result is numpy's inverse, bit for bit.
+    Recursive 2 x 2 blocks: the block below the diagonal is one GEMM and the
+    two diagonal blocks recurse, so the update costs about half the FLOPs of
+    the full square.  Leaves of at most _INVERSE_LEAF rows update their whole
+    square.
     """
-    k = lower.shape[0]
+    k = x.shape[0]
     if k <= _INVERSE_LEAF:
-        lower[...] = np.linalg.inv(lower)
-        return lower
+        x -= w @ w.conj().T
+        return
     h = k // 2
-    invert_lower(lower[:h, :h])
-    invert_lower(lower[h:, h:])
-    lower[h:, :h] = -(lower[h:, h:] @ lower[h:, :h]) @ lower[:h, :h]
-    return lower
+    _subtract_gram(x[:h, :h], w[:h])
+    x[h:, :h] -= w[h:] @ w[:h].conj().T
+    _subtract_gram(x[h:, h:], w[h:])
+
+
+def _halves(start: int, stop: int) -> tuple[slice, slice]:
+    """Rows start:stop as two slices, so that a product over them needs half
+    the temporary."""
+    mid = (start + stop) // 2
+    return slice(start, mid), slice(mid, stop)
+
+
+def inverse_cholesky(x: np.ndarray) -> np.ndarray:
+    """Overwrite x = [X; Y] with [L^{-1}; Y L^{-*}], where X = L L*; returns x.
+
+    X is the leading k x k block of the k + r by k array x (r >= 0), and
+    must be symmetric or hermitian positive definite; only its lower
+    triangle is read.  Raises numpy.linalg.LinAlgError when it is not
+    positive definite.  The r rows Y below it come back as Y L^{-*}, the
+    rows below L in the Cholesky factor of [[X, Y*], [Y, .]].  numpy has
+    GEMMs but no fast Cholesky or triangular solve (scipy's would load a
+    second BLAS), so every Cholesky factorization bsesolve makes runs here.
+
+    Recursive 2 x 2 blocks on the columns, with h = k // 2: M11 = L11^{-1}
+    and W = X21 M11* = L21 come from the recursion on the leading h columns
+    (`_schur_step`), which also turns the rows below into Y1 M11* and
+    updates X22 -= W W* and Y2 -= Y1 M11* W*; M22 = L22^{-1} comes from the
+    recursion on the trailing columns, and M21 = -M22 W M11.  Nearly all
+    FLOPs run in GEMMs.  A leaf of at most _INVERSE_LEAF columns is
+    numpy.linalg.inv of numpy.linalg.cholesky, so a square x of that size
+    gets numpy's bits.
+    """
+    k = x.shape[1]
+    if k <= _INVERSE_LEAF:
+        x[:k] = np.linalg.inv(np.linalg.cholesky(x[:k]))
+        m_h = x[:k].conj().T
+        for rows in _halves(k, x.shape[0]):
+            x[rows] = x[rows] @ m_h
+        return x
+    h = _schur_step(x, inverse_cholesky)
+    inverse_cholesky(x[h:, h:])
+    w = x[h:k, :h]
+    np.matmul(x[h:k, h:] @ w, x[:h, :h], out=w)
+    w *= -1.0
+    x[:h, h:] = 0.0
+    return x
+
+
+def _schur_step(x: np.ndarray, factor) -> int:
+    """The leading step of the recursion on x's first h = k // 2 columns.
+
+    factor (`inverse_cholesky` or `_factor_rows`) turns X21 into W = L21
+    and the rows Y below X into Y1 M11* on the leading columns; then the
+    step's update is subtracted from the trailing columns: X22 -= W W*
+    (lower triangle) and Y2 -= Y1 M11* W* (in two halves of rows).
+    Returns h.
+    """
+    k = x.shape[1]
+    h = k // 2
+    factor(x[:, :h])
+    _subtract_gram(x[h:k, h:], x[h:k, :h])
+    w_h = x[h:k, :h].conj().T
+    for rows in _halves(k, x.shape[0]):
+        x[rows, h:] -= x[rows, :h] @ w_h
+    return h
+
+
+def _factor_rows(x: np.ndarray) -> None:
+    """Y L^{-*} over the rows Y below X, and the verdict on X; X is left scrambled.
+
+    `inverse_cholesky` without its assembly steps M21 = -M22 W M11, which
+    only L^{-1} itself needs, and with a last leaf that needs no inverse
+    when no rows lie below it.  Raises numpy.linalg.LinAlgError when X is
+    not positive definite.
+    """
+    k = x.shape[1]
+    if k > _INVERSE_LEAF:
+        h = _schur_step(x, _factor_rows)
+        _factor_rows(x[h:, h:])
+    elif x.shape[0] > k:
+        inverse_cholesky(x)
+    else:
+        np.linalg.cholesky(x)
 
 
 def is_definite(ham: BseHamiltonian) -> Definiteness:
@@ -382,32 +462,34 @@ def is_definite(ham: BseHamiltonian) -> Definiteness:
 
     R = [[P, C^T], [C, Q]] with P = Re(A+B), Q = Re(A-B) (a block here, not
     the unitary Q) and C = Im(A+B) is positive definite iff P is and so is
-    the Schur complement Q - W^T W, W = L_P^{-1} C^T with P = L_P L_P^T.
-    L_P, W^T and L_S with Q - W^T W = L_S L_S^T are the blocks of R's
-    Cholesky factor [[L_P, 0], [W^T, L_S]], so this is one step of a blocked
-    Cholesky of R.  W is L_P^{-1} (`invert_lower`) times C^T, written over
-    C^T's buffer in two GEMMs: m^3/3 (L_P) + m^3/3 (L_P^{-1}) + 3 m^3/2 (W)
-    + m^3 (W^T W) + m^3/3 (L_S), about 3.5 m^3 FLOPs.  The ledger keeps the
-    n^3/3 = 2.7 m^3 of a Cholesky of R, the work the certificate stands for.
-    Each piece is m x m, formed from A and B and dropped once used, so the
-    certificate never forms R or another n x n array: it peaks at 2.5 real
-    m x m arrays (L_P^{-1}, W and one half-height GEMM result).
+    the Schur complement S = Q - W W^T, W = C L_P^{-T} with P = L_P L_P^T:
+    [[L_P, 0], [W, L_S]] is R's Cholesky factor.  P and C are stacked in
+    one C-order n x m array, and the recursion of `inverse_cholesky` turns
+    C into W (`_factor_rows`, which skips the assembly of L_P^{-1}).  Q then
+    overwrites P, S = Q - W W^T is formed on its lower triangle, and S gets
+    its verdict from the same recursion.  At m = 1024 that is about
+    2.9 m^3 FLOPs (1.5 m^3 for W, m^3 for W W^T, 0.4 m^3 for S), nearly
+    all in GEMMs, and numpy's Cholesky and inverse see blocks of at most
+    _INVERSE_LEAF rows; the ledger keeps the n^3/3 = 2.7 m^3 of a Cholesky
+    of R, the work the certificate stands for.  Every elementwise pass
+    reads and writes one memory order.  The certificate never forms R or
+    another n x n array: it peaks at 2.25 real m x m arrays at m >= 1024
+    ([P; C] and one quarter-block GEMM result).
     """
     if ham.definiteness is not Definiteness.UNKNOWN:
         return ham.definiteness
+    m = ham.m
     ar, ai = ham.a.real, ham.a.imag
     br, bi = ham.b.real, ham.b.imag
+    x = np.empty((ham.n, m))  # [P; C], then [S; W]
+    np.add(ar, br, out=x[:m].T)  # P is symmetric: written through its transpose
+    np.subtract(bi, ai, out=x[m:].T)  # C^T = Im(B - A), as A is hermitian
     try:
-        l_inv = invert_lower(np.linalg.cholesky(ar + br))
-        w = np.add(ai, bi).T  # C^T, C-contiguous; overwritten by W
-        h = ham.m // 2  # L_P^{-1} is lower: rows h: first, then rows :h in place
-        w[h:] = l_inv[h:] @ w
-        w[:h] = l_inv[:h, :h] @ w[:h]
-        del l_inv
-        s = w.T @ w
-        del w
-        np.subtract(ar - br, s, out=s)
-        np.linalg.cholesky(s)
+        _factor_rows(x)  # W over C
+        s = x[:m]
+        np.subtract(ar, br, out=s.T)
+        _subtract_gram(s, x[m:])
+        _factor_rows(s)
     except np.linalg.LinAlgError:
         ham._definiteness = Definiteness.INDEFINITE
     else:

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import RankDeficiencyError
-from .hamiltonian import apply_s, invert_lower
+from .hamiltonian import apply_s, inverse_cholesky
 from .metrics import PhaseLedger
 
 #: CholQR2 acceptance threshold on max|Q*Q - I|.
@@ -67,8 +67,8 @@ def cholqr_with_fallback(
         gram = q.conj().T @ q
         gram = (gram + gram.conj().T) / 2.0
         try:
-            ell = np.linalg.cholesky(gram)  # gram = R* R with R = L*
-            q = q @ invert_lower(ell).conj().T  # Q R^{-1}
+            # gram = R* R with R = L*, and Q R^{-1} = Q (L^{-1})*
+            q = q @ inverse_cholesky(gram).conj().T
         except np.linalg.LinAlgError:
             method = "householder"
             break

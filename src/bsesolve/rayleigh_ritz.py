@@ -29,7 +29,7 @@ import numpy as np
 
 from .direct import cond_of_h, dense_general_eig, dense_hermitian_eig, rho_sh
 from .errors import HermitianRqError, ValidationError
-from .hamiltonian import BseHamiltonian, apply_h, apply_s, invert_lower, materialize
+from .hamiltonian import BseHamiltonian, apply_h, apply_s, inverse_cholesky, materialize
 from .metrics import PhaseLedger
 
 #: |lambda_min(Q*SQ)| below this (its spectrum lives in [-1, 1]) is treated
@@ -133,7 +133,7 @@ def build_hermitian_rq(
             f"|lambda_min(Q*SQ)| = {lam_min_m:.3e} below {M_SINGULARITY_TOL:.0e}"
         )
     try:
-        ell_inv = invert_lower(np.linalg.cholesky(w))
+        ell_inv = inverse_cholesky(w.copy())
     except np.linalg.LinAlgError as exc:
         raise HermitianRqError(
             "Cholesky of Q*SHQ failed; S*H is not definite on the subspace"

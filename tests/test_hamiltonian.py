@@ -24,7 +24,7 @@ from bsesolve import (
 )
 from bsesolve import hamiltonian
 from bsesolve.hamiltonian import (
-    invert_lower,
+    inverse_cholesky,
     max_abs,
     real_symmetric_form,
     symmetric_part,
@@ -390,8 +390,9 @@ class TestSchurCertificate:
     @pytest.mark.parametrize(
         "m, seed",
         [(m, seed) for m in (1, 2, 3, 5, 16, 33, 64) for seed in range(6)]
-        # past 128 rows invert_lower recurses
-        + [(129, 0), (129, 1), (300, 0), (300, 1)],
+        # past 128 columns inverse_cholesky recurses: one level at 129, two
+        # at 257 and 300, three at 513
+        + [(129, 0), (129, 1), (300, 0), (300, 1), (257, 0), (513, 0)],
     )
     def test_matches_dense_cholesky(self, m, seed):
         for ratio in (0.5, 0.99, 0.999999, 1.0, 1.000001, 1.01, 1.5, 3.0):
@@ -431,7 +432,9 @@ class TestSchurCertificate:
         ham = BseHamiltonian(np.zeros((0, 0)), np.zeros((0, 0)))
         assert is_definite(ham) is Definiteness.DEFINITE
 
-    @pytest.mark.parametrize("m, seed", [(1, 0), (5, 1), (33, 2), (64, 3), (200, 4)])
+    @pytest.mark.parametrize(
+        "m, seed", [(1, 0), (5, 1), (33, 2), (64, 3), (200, 4), (257, 5), (513, 6)]
+    )
     def test_matches_dense_cholesky_at_bisected_boundary(self, m, seed):
         # B -> t B: definite at t = 0, indefinite for large t; bisect the
         # reference's switch point t*, then classify just either side of it
@@ -466,46 +469,89 @@ class TestSchurCertificate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # L_P^{-1}, W and one half-height GEMM result: 2.5 real m x m arrays
-        # (n^2/4 doubles each); W = L_P^{-1} C^T out of place would hold 3,
-        # and a dense Cholesky of R peaks at two n x n arrays (8 m x m)
+        # [P; C] (two real m x m arrays of n^2/4 doubles) and GEMM results
+        # and leaf factors of at most half a block: 2.5 arrays at m = 256;
+        # a dense Cholesky of R peaks at two n x n arrays (8 m x m)
         assert nbytes / 4 <= peak <= 2.75 * nbytes / 4
 
+    def test_numpy_cholesky_sees_leaves_only(self, monkeypatch):
+        rows = []
+        cholesky = np.linalg.cholesky
 
-def _lower_factor(k, dtype, seed):
-    """A well-conditioned k x k lower triangular Cholesky factor in dtype."""
+        def recording(x):
+            rows.append(x.shape[0])
+            return cholesky(x)
+
+        monkeypatch.setattr(np.linalg, "cholesky", recording)
+        ham = generate(GeneratorSpec(m=300, seed=0))
+        assert is_definite(BseHamiltonian(ham.a, ham.b)) is Definiteness.DEFINITE
+        assert rows and max(rows) <= hamiltonian._INVERSE_LEAF
+
+
+def _spd(k, dtype, seed):
+    """A well-conditioned k x k symmetric or hermitian positive definite matrix."""
     g = np.random.default_rng(seed)
     f = g.standard_normal((k, k))
     if dtype is np.complex128:
         f = f + 1j * g.standard_normal((k, k))
-    return np.linalg.cholesky(f @ f.conj().T + k * np.eye(k))
+    x = f @ f.conj().T + k * np.eye(k)
+    return (x + x.conj().T) / 2.0
 
 
 class TestInvertLower:
-    """invert_lower, the one kernel that inverts every Cholesky factor."""
+    """inverse_cholesky: the inverse of the lower Cholesky factor, the one
+    kernel behind the certificate, CholQR2 and the hermitian projection."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     @pytest.mark.parametrize("k", [1, 2, 64, 128])
     def test_leaf_is_numpy_inverse_bit_for_bit(self, k, dtype):
-        lower = _lower_factor(k, dtype, k)
-        expected = np.linalg.inv(lower)
-        np.testing.assert_array_equal(invert_lower(lower), expected)
+        x = _spd(k, dtype, k)
+        expected = np.linalg.inv(np.linalg.cholesky(x))
+        np.testing.assert_array_equal(inverse_cholesky(x), expected)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     @pytest.mark.parametrize("k", [129, 300, 513])
     def test_recursion_is_accurate(self, k, dtype):
-        lower = _lower_factor(k, dtype, k)
-        inverse = invert_lower(lower.copy())
+        x = _spd(k, dtype, k)
+        lower = np.linalg.cholesky(x)
+        inverse = inverse_cholesky(x.copy())
         assert np.abs(lower @ inverse - np.eye(k)).max() <= 1e-14
         assert np.abs(inverse - np.linalg.inv(lower)).max() <= 1e-13 * np.abs(inverse).max()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     @pytest.mark.parametrize("k", [3, 129, 300])
     def test_in_place_and_lower_triangular(self, k, dtype):
-        lower = _lower_factor(k, dtype, k)
-        out = invert_lower(lower)
-        assert out is lower
+        x = _spd(k, dtype, k)
+        out = inverse_cholesky(x)
+        assert out is x
         assert not np.triu(out, 1).any()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("k, r", [(5, 3), (128, 200), (300, 300)])
+    def test_rows_below_come_back_times_the_inverse(self, k, r, dtype):
+        x = _spd(k, dtype, k)
+        g = np.random.default_rng(r)
+        y = g.standard_normal((r, k))
+        if dtype is np.complex128:
+            y = y + 1j * g.standard_normal((r, k))
+        inverse = np.linalg.inv(np.linalg.cholesky(x))
+        out = inverse_cholesky(np.vstack([x, y]))
+        scale = np.abs(y).max() * np.abs(inverse).max()
+        assert np.abs(out[:k] - inverse).max() <= 1e-13 * np.abs(inverse).max()
+        assert np.abs(out[k:] - y @ inverse.conj().T).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_indefinite_last_leaf_raises(self, dtype):
+        # the leading 299 x 299 block is definite; the last diagonal entry
+        # makes the whole matrix indefinite, which only the last leaf sees
+        x = _spd(300, dtype, 7)
+        lower = np.linalg.cholesky(x[:299, :299])
+        v = x[:299, 299]
+        x[299, 299] = np.vdot(np.linalg.solve(lower, v), np.linalg.solve(lower, v)).real - 1.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(x)
+        with pytest.raises(np.linalg.LinAlgError):
+            inverse_cholesky(x)
 
 
 def _big_arrays(ham):

@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsesolve import chebyshev, hamiltonian, ortho, solver
+from bsesolve import chebyshev, hamiltonian, ortho, rayleigh_ritz, solver
 from bsesolve import (
     BseHamiltonian,
     Definiteness,
@@ -85,19 +85,25 @@ class TestSolve:
         assert res.residual_norms.max() <= cfg.tol
 
     def test_block_wider_than_the_inverse_leaf(self, monkeypatch):
-        # nev + nex = 144 columns: past 128 rows invert_lower recurses, in
-        # CholQR2 and in the hermitian projection
-        sizes = []
-        invert = hamiltonian.invert_lower
+        # nev + nex = 144 columns: past 128 columns inverse_cholesky
+        # recurses, in CholQR2 and in the hermitian projection
+        calls = []
+        kernel = hamiltonian.inverse_cholesky
 
-        def recording(lower):
-            sizes.append(lower.shape[0])
-            return invert(lower)
+        def spy(module):
+            def recording(x):
+                calls.append((module.__name__, x.shape[1]))
+                return kernel(x)
 
-        monkeypatch.setattr(hamiltonian, "invert_lower", recording)
+            monkeypatch.setattr(module, "inverse_cholesky", recording)
+
+        for module in (hamiltonian, ortho, rayleigh_ritz):
+            spy(module)
         ham = generate(GeneratorSpec(m=160, seed=17))
         _solve_and_check_oracle(ham, SolverConfig(nev=72, nex=72, seed=17))
-        assert 72 in sizes
+        assert ("bsesolve.ortho", 144) in calls
+        assert ("bsesolve.rayleigh_ritz", 144) in calls
+        assert ("bsesolve.hamiltonian", 72) in calls  # the recursion's halves
 
     def test_deterministic_per_seed(self):
         ham = generate(GeneratorSpec(m=32, seed=4))
@@ -237,10 +243,12 @@ class TestSolve:
 
     @pytest.mark.parametrize("nex", [12, 14, 16])
     def test_many_targets_keep_full_rank(self, nex):
-        # these raised RankDeficiencyError in the Householder fallback
-        _solve_and_check_oracle(
-            generate(GeneratorSpec(m=32, seed=1)), SolverConfig(nev=16, nex=nex)
-        )
+        # these raised RankDeficiencyError in the Householder fallback, at
+        # solver seeds 0 and 1
+        for seed in (0, 1):
+            _solve_and_check_oracle(
+                generate(GeneratorSpec(m=32, seed=1)), SolverConfig(nev=16, nex=nex, seed=seed)
+            )
 
     def test_degenerate_cluster(self):
         # B = 0 and an 8-fold eigenvalue of A: H has the 8-fold pair +-8 next
