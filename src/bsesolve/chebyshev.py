@@ -13,36 +13,36 @@ J = [[0, I], [-I, 0]] (Shao, da Jornada, Yang, Deslippe & Lin, LAA 488,
 2016).  The filter coefficients are real, so the whole recurrence runs on
 a real n x 2k block holding y = Q* x / sqrt(2), in the dtype of the R it
 is handed: the filter converts into it once at entry and back once at
-exit, and each product is one real GEMM Z = R Y.
+exit, and each product is a real GEMM Z = R Y.
 
 The solver passes the float32 R it builds once per solve from the blocks,
-so every filter call of a solve runs in float32, on a row-major block: y
-is a C-order complex64 n x k array (`to_complex_rows`), whose float32 view
-is the n x 2k block with each column's real and imaginary parts side by
-side.  R is exactly symmetric, so for the F-order R the C-order view R^T is
-R, and Z = R^T Y is one sgemm on C-order operands, which OpenBLAS 0.3.31
-runs with the narrow block as M (M = 2k, N = K = n).  Read as complex,
-i J Z = [i Z2; -i Z1]: two contiguous half-block updates of the
-recurrence.  Against the column-major [Re(y) | Im(y)] block the float32
-path used before, whose sgemm took n as M, a product at n = 2048 took
+so every filter call of a solve runs in float32; without a real_form the
+filter builds a float64 R for that call alone and drops it on return.
+Either dtype runs on one row-major block: y is a C-order n x k array
+(`to_complex_rows`) in R's complex dtype, complex64 for a float32 R and
+complex128 for a float64 one, whose real view is the n x 2k block with
+each column's real and imaginary parts side by side.  R is exactly
+symmetric, so for the F-order R the C-order view R^T is R, and Z = R^T Y
+is a GEMM on C-order operands, which OpenBLAS 0.3.31 runs with the narrow
+block as M (M = 2k, K = n).  Against a column-major [Re(y) | Im(y)]
+block, whose GEMM takes n as M, a float32 product at n = 2048 took
 0.71-0.79 times as long for 2k = 2 to 80 (1.81 -> 1.41 ms at 2k = 2,
 2.52 -> 1.89 ms at 2k = 16, 4.84 -> 3.81 ms at 2k = 80; two threads), and
 whole filter calls 0.55-0.95 times as long (n = 512 and 2048, k = 4 to
-320).  Each element of Z is the same dot product, and the output equals
-the column-major block's bit for bit on every call tried except narrow
-blocks at small n (k <= 4 at n <= 256, k = 1 at n = 512), where OpenBLAS's
-small-matrix sgemm rounds the two orientations apart by about eps32.
+320); a float64 product ran 1.2-1.5 times slower at n = 2048.  The GEMM
+rounds a column differently depending on the block's width, so a single
+vector need not get the bits of its column in a block.
 
-Without a real_form the filter builds a float64 R for that call alone,
-drops it on return, and keeps the column-major block
-Y = [Re(y) | Im(y)] (`hamiltonian.to_real_block`): Z^T = Y^T R^T into a
-C-order buffer (the NN dgemm), and i J Z a fixed remap of Z's quadrants
-with two signs, which the elementwise update reads in place.  Row-major
-dgemm ran 1.2-1.5 times slower at n = 2048, and rounds a column
-differently depending on the block's width, where a float64 call must
-give a single vector the bits of its column in a block.  The plain
-filter's float32 output is accurate to a small multiple of float32's unit
-roundoff relative to ||x||.
+Read as complex, i J Z = [i Z2; -i Z1]: each half of Z updates one
+contiguous half of the block, so Z is formed one half of its rows at a
+time (N = n/2) into a work buffer of half a block.  The corrected filter
+holds one block more than the plain one, its source term, and the
+half-height buffer keeps its peak within 1.25 times the plain call's in
+float64 (a full-height Z makes it 1.33).  Two half GEMMs took 0.91-1.02
+times as long as one full GEMM at n = 1024 and 2048 for 2k = 32 to 128,
+but 1.06-1.09 times at n = 512, 2k = 64 and 1.06-1.17 times at n = 2048,
+2k = 640 (two threads).  The plain filter's float32 output is accurate to
+a small multiple of float32's unit roundoff relative to ||x||.
 
 The corrected filter removes that floor on Ritz pairs (mixed-precision
 defect correction; Higham & Mary, Acta Numerica 31, 2022).  For a Ritz
@@ -69,12 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .hamiltonian import (
-    BseHamiltonian,
-    from_real_block,
-    real_symmetric_form,
-    to_real_block,
-)
+from .hamiltonian import BseHamiltonian, real_symmetric_form
 from .lanczos import SpectralBounds
 from .metrics import PhaseLedger
 
@@ -130,40 +125,39 @@ def _column_passes(k: int) -> list[slice]:
     return [slice(j, j + _PASS_COLUMNS) for j in range(0, k, _PASS_COLUMNS)]
 
 
-def to_complex_rows(x: np.ndarray) -> np.ndarray:
-    """y = Q* x / sqrt(2) = [x1 + x2; i (x2 - x1)] / 2 as a C-order complex64 array.
+def to_complex_rows(x: np.ndarray, dtype) -> np.ndarray:
+    """y = Q* x / sqrt(2) = [x1 + x2; i (x2 - x1)] / 2 as a C-order array of dtype.
 
-    The float32 filter's block: its float32 view is the row-major n x 2k
-    real block, each column's real and imaginary parts side by side.  Each
-    sum is formed in float64 and rounded once, then scaled exactly by 1/2,
-    as in `to_real_block`.  x is a 2-D complex array with an even row count.
+    The filter's block: its real view is the row-major n x 2k real block,
+    each column's real and imaginary parts side by side.  Each sum is
+    formed in float64 and rounded once to dtype, then scaled exactly by
+    1/2.  x is a 2-D complex array with an even row count.
     """
-    return _complex_rows(x.shape, lambda c: x[:, c])
+    return _complex_rows(x.shape, lambda c: x[:, c], dtype)
 
 
-def _complex_rows(shape: tuple[int, int], columns) -> np.ndarray:
+def _complex_rows(shape: tuple[int, int], columns, dtype) -> np.ndarray:
     """`to_complex_rows` of the n x k array whose columns c are columns(c).
 
     columns is called once per pass of columns, so an x formed from other
     arrays never exists in full.
     """
     m = shape[0] // 2
-    y = np.empty(shape, dtype=np.complex64)
+    y = np.empty(shape, dtype=dtype)
     for c in _column_passes(shape[1]):
         xc = columns(c)
         np.add(xc[:m], xc[m:], out=y[:m, c])
         np.subtract(xc[m:], xc[:m], out=y[m:, c])
     y[m:] *= 1j
-    y.view(np.float32)[...] *= 0.5
+    y.view(y.real.dtype)[...] *= 0.5
     return y
 
 
 def from_complex_rows(y: np.ndarray) -> np.ndarray:
     """sqrt(2) Q y = [y1 + i y2; y1 - i y2] as an F-order complex128 array.
 
-    The inverse of to_complex_rows, rounded in complex64 like
-    `from_real_block` rounds in float32.  It overwrites y's lower half
-    with i y2.
+    The inverse of to_complex_rows, rounded in y's dtype.  It overwrites
+    y's lower half with i y2.
     """
     m = y.shape[0] // 2
     x = np.empty(y.shape, dtype=np.complex128, order="F")
@@ -175,82 +169,49 @@ def from_complex_rows(y: np.ndarray) -> np.ndarray:
 
 
 class _RowBlock:
-    """The float32 recurrence block: the float32 view of `to_complex_rows`.
+    """The recurrence block: the real view of `to_complex_rows` in R's dtype.
 
-    One product Z = R Y is one sgemm on C-order operands (R^T is R), which
-    OpenBLAS runs with the narrow block as M.  In complex terms
-    i J Z = [i Z2; -i Z1], two contiguous half-block updates.
+    One product Z = R Y is one GEMM per half of Z's rows on C-order
+    operands (R^T is R), which OpenBLAS runs with the narrow block as M.
+    In complex terms i J Z = [i Z2; -i Z1], so each half of Z updates one
+    contiguous half of the block, and one work buffer of half a block holds
+    each half of Z and the scaled terms in turn.
     """
 
     def __init__(self, r: np.ndarray, m: int, k: int):
-        self.rt, self.m = r.T, m
-        self.z = np.empty((2 * m, 2 * k), dtype=r.dtype)  # Z, the GEMM output
-        self.scratch = self.z  # free between the products
+        self.rt = r.T
+        self.complex = np.result_type(r.dtype, np.complex64)
+        self.work = np.empty((m, 2 * k), dtype=r.dtype)
+        self.halves = (slice(None, m), slice(m, None))
 
     def load(self, x):
-        return to_complex_rows(x).view(np.float32)
+        return to_complex_rows(x, self.complex).view(self.rt.dtype)
 
     def load_shifted(self, r, v, d):
         """The block of r + v diag(d), formed one pass of columns at a time."""
-        return _complex_rows(r.shape, lambda c: r[:, c] + v[:, c] * d[c]).view(np.float32)
+        rows = _complex_rows(r.shape, lambda c: r[:, c] + v[:, c] * d[c], self.complex)
+        return rows.view(self.rt.dtype)
 
     def unload(self, y):
-        """The complex128 output; the work buffers go first."""
-        del self.z, self.scratch
-        return from_complex_rows(y.view(np.complex64))
+        """The complex128 output; the work buffer goes first."""
+        del self.work
+        return from_complex_rows(y.view(self.complex))
 
-    def spread(self, coef):
-        """Per-column coefficients laid along the block's real columns."""
-        return np.repeat(coef, 2)
-
-    def add_product(self, y, out, alpha):
-        """out += alpha i J R y, in place."""
-        m = self.m
-        np.matmul(self.rt, y, out=self.z)
-        z = self.z.view(np.complex64)
-        z *= 1j * alpha
-        out[:m] += self.z[m:]
-        out[m:] -= self.z[:m]
-
-
-class _ColumnBlock:
-    """The float64 recurrence block: Y = [Re(y) | Im(y)] in F order (`to_real_block`).
-
-    One product is Z^T = Y^T R^T into a C-order buffer, and i J Z is a
-    fixed remap of Z's quadrants with two signs.
-    """
-
-    def __init__(self, r: np.ndarray, m: int, k: int):
-        self.r, self.m, self.k = r, m, k
-        self.zt = np.empty((2 * k, 2 * m), dtype=r.dtype)  # Z^T, the GEMM output
-        self.scratch = self.zt.T  # free between the products, in Y's layout
-
-    def load(self, x):
-        return to_real_block(x, self.r.dtype)
-
-    def load_shifted(self, r, v, d):
-        """The block of r + v diag(d)."""
-        return to_real_block(r + v * d, self.r.dtype)
-
-    def unload(self, y):
-        """The complex128 output; the work buffers go first."""
-        del self.zt, self.scratch
-        return from_real_block(y)
-
-    def spread(self, coef):
-        """Per-column coefficients laid along the block's real columns."""
-        return np.tile(coef, 2)
+    def add_scaled(self, out, y, coef):
+        """out += y * coef, in place."""
+        for h in self.halves:
+            out[h] += np.multiply(y[h], coef, out=self.work)
 
     def add_product(self, y, out, alpha):
-        """out += alpha i J R y, in place."""
-        m, k = self.m, self.k
-        np.matmul(y.T, self.r.T, out=self.zt)
-        z = self.zt.T
-        z *= alpha
-        out[:m, :k] -= z[m:, k:]
-        out[m:, :k] += z[:m, k:]
-        out[:m, k:] += z[m:, :k]
-        out[m:, k:] -= z[:m, :k]
+        """out += alpha i J R y, in place: out1 += i alpha Z2, out2 -= i alpha Z1."""
+        upper, lower = self.halves
+        z, zc = self.work, self.work.view(self.complex)
+        np.matmul(self.rt[lower], y, out=z)
+        zc *= 1j * alpha
+        out[upper] += z
+        np.matmul(self.rt[upper], y, out=z)
+        zc *= 1j * alpha
+        out[lower] -= z
 
 
 def chebyshev_filter(
@@ -264,21 +225,28 @@ def chebyshev_filter(
 ):
     """Apply p(H) to the columns of vhat.
 
-    Plain (no ritz_values): degree real GEMMs on R, 4*n^2*k FLOPs each.
+    Plain (no ritz_values): degree real products with R, 4*n^2*k FLOPs each.
     Corrected, when the columns of vhat are Ritz vectors v with Ritz values
     ritz_values and residuals residual = H v - lam v: the recurrence runs on
     r' = residual + (lam - lam') v and the output is p(lam') v + q(H) r',
-    degree - 1 GEMMs.  The recurrence runs in real_form.dtype, real_form
-    being R in some dtype; without one it runs in float64 on an R built for
-    this call.
+    degree - 1 products.  The recurrence runs in real_form.dtype, real_form
+    being R in float32 or float64; without one it runs in float64 on an R
+    built for this call.
     """
     x = np.asarray(vhat, dtype=np.complex128)
-    if x.shape[0] != ham.n:
-        raise ValidationError(f"operand has {x.shape[0]} rows, expected {ham.n}")
+    if x.ndim not in (1, 2) or x.shape[0] != ham.n:
+        raise ValidationError(f"operand must have {ham.n} rows and 1 or 2 axes, got {x.shape}")
+    if real_form is not None and (
+        real_form.dtype not in (np.float32, np.float64) or real_form.shape != (ham.n, ham.n)
+    ):
+        raise ValidationError(
+            f"real_form must be a float32 or float64 {ham.n} x {ham.n} array,"
+            f" got {real_form.dtype} {real_form.shape}"
+        )
     cols = x if x.ndim == 2 else x[:, None]
     r = real_symmetric_form(ham) if real_form is None else real_form
     k = cols.shape[1]
-    block = (_RowBlock if r.dtype == np.float32 else _ColumnBlock)(r, ham.m, k)
+    block = _RowBlock(r, ham.m, k)
     c, e = cfg.center, cfg.half_width
     sigma1 = e / (cfg.scale_ref - c)
     sigma = sigma1
@@ -286,8 +254,7 @@ def chebyshev_filter(
     def step(y, y_prev, alpha, beta):
         """y_prev <- alpha * (i J R y - c y) - beta * y_prev, in place."""
         y_prev *= -beta
-        np.multiply(y, alpha * c, out=block.scratch)
-        y_prev -= block.scratch
+        block.add_scaled(y_prev, y, -alpha * c)
         block.add_product(y, y_prev, alpha)
         return y_prev
 
@@ -309,8 +276,8 @@ def chebyshev_filter(
         alpha, beta = 2.0 * sigma_new / e, sigma * sigma_new
         y_prev, y = y, step(y, y_prev, alpha, beta)
         if ritz_values is not None:
-            coef = block.spread((alpha * gain).astype(r.dtype))
-            y += np.multiply(source, coef, out=block.scratch)
+            coef = np.repeat((alpha * gain).astype(r.dtype), 2)
+            block.add_scaled(y, source, coef)
             gain_prev, gain = gain, alpha * (shift - c) * gain - beta * gain_prev
         sigma = sigma_new
     if ledger is not None:

@@ -13,17 +13,17 @@ m x 2k GEMMs, 8*n^2*k real FLOPs for k columns.  The real symmetric n x n
 form R = Q* (S H) Q with Q = [[I, iI], [I, -iI]] / sqrt(2)
 (`real_symmetric_form`) is what the Chebyshev filter runs on.  Since
 Q* S Q = i J, Q* H Q = i J R: the filter stays in Q* coordinates for a
-whole polynomial and converts back only at its end (see `chebyshev`;
-`to_real_block` is the float64 filter's block).  R = R^T holds exactly
-because construction makes A exactly hermitian and B exactly symmetric;
-the filter's GEMM relies on it.  R is built in the dtype its user asks
-for: a solve builds one float32 R, once its certificate passes, and drops
-it on return.  The definiteness certificate (`is_definite`) forms no
-n x n array: it is a blocked Cholesky of R on its m x m blocks, formed
-directly from A and B.  Every Cholesky factorization bsesolve makes, the
-certificate's, CholQR2's and the hermitian projection's, runs in one
-kernel, `inverse_cholesky`, a recursion on numpy GEMMs whose leaves call
-numpy's Cholesky and inverse on at most 128 rows.
+whole polynomial and converts back only at its end (see `chebyshev`).
+R = R^T holds exactly because construction makes A exactly hermitian and
+B exactly symmetric; the filter's GEMM relies on it.  R is built in the
+dtype its user asks for: a solve builds one float32 R, once its
+certificate passes, and drops it on return.  The definiteness certificate
+(`is_definite`) forms no n x n array: it is a blocked Cholesky of R on
+its m x m blocks, formed directly from A and B.  Every Cholesky
+factorization bsesolve makes, the certificate's, CholQR2's and the
+hermitian projection's, runs in one kernel, `inverse_cholesky`, a
+recursion on numpy GEMMs whose leaves call numpy's Cholesky and inverse
+on at most 128 rows.
 
 Construction takes Fortran-order complex128 blocks without a copy and
 checks their symmetries by walking pairs of small tiles (`symmetry_defect`),
@@ -215,45 +215,6 @@ def apply_j(x) -> np.ndarray:
         raise ValidationError(f"J needs an even row count, got {x.shape[0]}")
     m = x.shape[0] // 2
     return np.concatenate([x[m:], -x[:m]], axis=0)
-
-
-def to_real_block(x: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """Y = [Re(y) | Im(y)] with y = Q* x / sqrt(2), an F-order n x 2k block.
-
-    The block of the float64 filter (a call without a real_form); the
-    float32 filter runs on `chebyshev.to_complex_rows`, the same numbers
-    row-major.  Q* x / sqrt(2) = [x1 + x2; i (x2 - x1)] / 2 is written by
-    sums and sign flips and one exact scaling by 1/2.  x is a 2-D complex
-    array with an even row count.
-    """
-    m, k = x.shape[0] // 2, x.shape[1]
-    x1r, x1i = x[:m].real, x[:m].imag
-    x2r, x2i = x[m:].real, x[m:].imag
-    y = np.empty((2 * m, 2 * k), dtype=dtype, order="F")
-    np.add(x1r, x2r, out=y[:m, :k])
-    np.add(x1i, x2i, out=y[:m, k:])
-    np.subtract(x1i, x2i, out=y[m:, :k])
-    np.subtract(x2r, x1r, out=y[m:, k:])
-    y *= 0.5
-    return y
-
-
-def from_real_block(y: np.ndarray) -> np.ndarray:
-    """sqrt(2) Q y = [y1 + i y2; y1 - i y2] as complex128 from Y = [Re(y) | Im(y)].
-
-    The inverse of to_real_block: from_real_block(to_real_block(x)) is x
-    up to rounding in the block's dtype, and exactly x when the sums are
-    exact in it.
-    """
-    m, k = y.shape[0] // 2, y.shape[1] // 2
-    y1r, y1i = y[:m, :k], y[:m, k:]
-    y2r, y2i = y[m:, :k], y[m:, k:]
-    x = np.empty((2 * m, k), dtype=np.complex128, order="F")
-    np.subtract(y1r, y2i, out=x[:m].real)
-    np.add(y1i, y2r, out=x[:m].imag)
-    np.add(y1r, y2i, out=x[m:].real)
-    np.subtract(y1i, y2r, out=x[m:].imag)
-    return x
 
 
 def apply_h(
