@@ -298,10 +298,10 @@ def verify_cmd(m, seed, coupling_ratio, alpha, mode, a_path, b_path):
 @handle_errors
 def bench_cmd(a_path, b_path, pchb_path, reps, out, **solver_options):
     """Repeat a solve and report per-phase times, modeled FLOPs and FLOP/s."""
-    ham, inputs = _load_hamiltonian(a_path, b_path, pchb_path)
-    cfg = SolverConfig(**solver_options)
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
+    ham, inputs = _load_hamiltonian(a_path, b_path, pchb_path)
+    cfg = SolverConfig(**solver_options)
     runs = []
     for _ in range(reps):
         t0 = time.perf_counter()

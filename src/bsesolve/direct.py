@@ -7,10 +7,9 @@ v = L^{-*} y.  Left eigenvectors cost nothing: u = S v.  The reduced
 k x k hermitian/general eigensolvers used inside the Rayleigh-Ritz step
 live here as well, so every consumer shares one contract.
 
-The reduced eigensolvers run on numpy.linalg, as the whole solve path
-does.  Only the oracles (`direct_solve_definite`, `cond_of_h`, `rho_sh`)
-use scipy.linalg, and they import it when called, so a process that never
-runs an oracle never loads scipy or its second OpenBLAS.
+Like the rest of bsesolve, the oracles and the reduced eigensolvers call
+numpy.linalg only.  The oracles do not use the solve path's kernels
+(`hamiltonian.inverse_cholesky`), so that tests can compare the two.
 """
 
 from __future__ import annotations
@@ -46,19 +45,17 @@ class FullEigendecomposition:
 
 def direct_solve_definite(ham: BseHamiltonian) -> FullEigendecomposition:
     """Full spectrum via the Cholesky reduction (O(n^3), oracle use only)."""
-    import scipy.linalg as sla
-
     sh = materialize_sh(ham)
     try:
-        ell = sla.cholesky(sh, lower=True)
-    except sla.LinAlgError as exc:
+        ell = np.linalg.cholesky(sh)
+    except np.linalg.LinAlgError as exc:
         raise IndefiniteError(
             "direct solve needs S*H positive definite; Cholesky failed"
         ) from exc
     reduced = ell.conj().T @ apply_s(ell)
     reduced = (reduced + reduced.conj().T) / 2.0
     lambdas, y = np.linalg.eigh(reduced)
-    v = sla.solve_triangular(ell.conj().T, y, lower=False)
+    v = np.linalg.solve(ell.conj().T, y)
     v /= np.linalg.norm(v, axis=0)
     sv = apply_s(v)
     d = np.einsum("ij,ij->j", v.conj(), sv)
@@ -67,9 +64,7 @@ def direct_solve_definite(ham: BseHamiltonian) -> FullEigendecomposition:
 
 def cond_of_h(ham: BseHamiltonian) -> float:
     """lambda_max(SH) / lambda_min(SH); equals sigma_max(H) / sigma_min(H)."""
-    import scipy.linalg as sla
-
-    w = sla.eigvalsh(materialize_sh(ham))
+    w = np.linalg.eigvalsh(materialize_sh(ham))
     if w[0] <= 0:
         raise IndefiniteError(
             f"condition number defined for definite problems only "
@@ -80,9 +75,7 @@ def cond_of_h(ham: BseHamiltonian) -> float:
 
 def rho_sh(ham: BseHamiltonian) -> float:
     """Spectral radius of S H (= ||H||_2 in the definite case)."""
-    import scipy.linalg as sla
-
-    return float(np.abs(sla.eigvalsh(materialize_sh(ham))).max())
+    return float(np.abs(np.linalg.eigvalsh(materialize_sh(ham))).max())
 
 
 def dense_hermitian_eig(g) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the integer check.
 
 The CLI maps these onto stable exit codes: ValidationError -> 2,
 I/O failures -> 3, NumericalError (and subclasses) -> 4.
 """
+
+import numbers
 
 
 class BseSolveError(Exception):
@@ -32,3 +34,11 @@ class HermitianRqError(NumericalError):
     numerically singular; callers running in automatic mode switch to the
     non-hermitian backup projection for the current iteration.
     """
+
+
+def require_integers(owner, *names: str) -> None:
+    """Reject a named field of owner that is set (not None) but not an integer."""
+    for name in names:
+        value = getattr(owner, name)
+        if value is not None and not isinstance(value, numbers.Integral):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import ValidationError
+from .errors import ValidationError, require_integers
 from .hamiltonian import (
     BseHamiltonian,
     Definiteness,
@@ -50,6 +50,7 @@ class GeneratorSpec:
     mode: str = "definite"
 
     def __post_init__(self) -> None:
+        require_integers(self, "m", "seed")
         if self.m < 1:
             raise ValidationError(f"m must be >= 1, got {self.m}")
         if not 0 < self.alpha < np.inf:  # also rejects NaN
@@ -107,13 +108,11 @@ def field_of_values_bounds(ham: BseHamiltonian) -> tuple[float, float]:
     Every eigenvalue satisfies |Re| <= rho(A) and |Im| <= sigma_max(B);
     for B = 0 the spectrum is purely real.
     """
-    import scipy.linalg as sla
-
-    re_bound = float(np.abs(sla.eigvalsh(ham.a)).max()) if ham.m else 0.0
+    re_bound = float(np.abs(np.linalg.eigvalsh(ham.a)).max()) if ham.m else 0.0
     if not np.any(ham.b):
         im_bound = 0.0
     else:
-        im_bound = float(sla.svdvals(ham.b)[0])
+        im_bound = float(np.linalg.svd(ham.b, compute_uv=False)[0])
     return re_bound, im_bound
 
 

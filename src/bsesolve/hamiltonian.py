@@ -20,7 +20,7 @@ dtype its user asks for: a solve builds one float32 R, once its
 certificate passes, and drops it on return.  The definiteness certificate
 (`is_definite`) forms no n x n array: it is a blocked Cholesky of R on
 its m x m blocks, formed directly from A and B.  Every Cholesky
-factorization bsesolve makes, the certificate's, CholQR2's and the
+factorization on the solve path, the certificate's, CholQR2's and the
 hermitian projection's, runs in one kernel, `inverse_cholesky`, a
 recursion on numpy GEMMs whose leaves call numpy's Cholesky and inverse
 on at most 128 rows.
@@ -353,8 +353,8 @@ def inverse_cholesky(x: np.ndarray) -> np.ndarray:
     triangle is read.  Raises numpy.linalg.LinAlgError when it is not
     positive definite.  The r rows Y below it come back as Y L^{-*}, the
     rows below L in the Cholesky factor of [[X, Y*], [Y, .]].  numpy has
-    GEMMs but no fast Cholesky or triangular solve (scipy's would load a
-    second BLAS), so every Cholesky factorization bsesolve makes runs here.
+    GEMMs but no fast Cholesky or triangular solve, so every Cholesky
+    factorization on the solve path runs here.
 
     Recursive 2 x 2 blocks on the columns, with h = k // 2: M11 = L11^{-1}
     and W = X21 M11* = L21 come from the recursion on the leading h columns

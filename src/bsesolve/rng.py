@@ -46,14 +46,14 @@ def word(seed: int, counter: int) -> int:
 
 def substream(seed: int, tag: int) -> int:
     """Derive a child seed for an independent, documented purpose."""
-    return word(seed & _MASK, tag)
+    return word(int(seed) & _MASK, tag)
 
 
 def _words(seed: int, start: int, count: int) -> np.ndarray:
     """Vectorized ``word`` for counters start .. start+count-1."""
     with np.errstate(over="ignore"):
         ctr = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-        z = np.uint64(seed & _MASK) + ctr * np.uint64(_GOLDEN)
+        z = np.uint64(int(seed) & _MASK) + ctr * np.uint64(_GOLDEN)
         z ^= z >> np.uint64(30)
         z *= np.uint64(_MIX1)
         z ^= z >> np.uint64(27)

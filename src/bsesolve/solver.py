@@ -66,15 +66,9 @@ H V = (H Q) C (see `rayleigh_ritz`), and the next filter reads the active
 columns of V and R as slices.  The residual norms a solve returns are
 recomputed with one H-product on the returned vectors.
 
-Every dense linear-algebra call on the solve path, the definiteness check
-included, goes through numpy.linalg.  numpy and scipy each bundle their
-own OpenBLAS, each with its own spinning thread pool, and a solve that
-crossed between the two pools on every iteration ran about 2.5 times
-slower on two threads than on one at n = 512.  No bsesolve module imports
-scipy at module level: only the oracles in `direct`, the `verify` checks
-and `generate.field_of_values_bounds` import scipy.linalg, inside the
-function that calls it, so `import bsesolve`, `solve()`, `generate()` and
-the `generate`, `solve` and `bench` commands never load scipy's OpenBLAS.
+bsesolve calls numpy.linalg only: the solve path, the definiteness check,
+the oracles and the `verify` checks alike.  So every BLAS call of a
+bsesolve process runs on numpy's OpenBLAS and its one thread pool.
 """
 
 from __future__ import annotations
@@ -86,7 +80,7 @@ import numpy as np
 
 from . import rng
 from .chebyshev import FilterConfig, chebyshev_filter
-from .errors import IndefiniteError, NumericalError, ValidationError
+from .errors import IndefiniteError, NumericalError, ValidationError, require_integers
 from .hamiltonian import (
     BseHamiltonian,
     Definiteness,
@@ -142,6 +136,7 @@ class SolverConfig:
         return self.nev + (_default_nex(self.nev) if self.nex is None else self.nex)
 
     def validate(self, n: int) -> None:
+        require_integers(self, "nev", "nex", "deg", "maxiter", "seed", "lanczos_steps")
         if self.nev < 1:
             raise ValidationError(f"nev must be >= 1, got {self.nev}")
         if self.nex is not None and self.nex < 0:

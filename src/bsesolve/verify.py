@@ -5,9 +5,7 @@ eigendecompositions, SVDs) rather than the iterative solver path, prints
 its measured value, and never raises on failure: a failed property is
 report content.
 
-The checks that need scipy.linalg import it when called, as the oracles in
-`direct` do, so importing this module (which `bsesolve.cli` does) does not
-load scipy.
+Like the rest of bsesolve, the checks call numpy.linalg only.
 """
 
 from __future__ import annotations
@@ -99,10 +97,8 @@ def check_field_of_values(ham: BseHamiltonian) -> PropertyCheck:
 
 def check_cond_identity(ham: BseHamiltonian) -> PropertyCheck:
     """cond(SH) agrees with sigma_max(H)/sigma_min(H) to 1e-10 relative."""
-    import scipy.linalg as sla
-
     cond_sh = cond_of_h(ham)
-    sv = sla.svdvals(materialize(ham))
+    sv = np.linalg.svd(materialize(ham), compute_uv=False)
     rel = abs(cond_sh - sv[0] / sv[-1]) / cond_sh
     return PropertyCheck("cond_identity", rel <= 1e-10, f"relative gap {rel:.3e}")
 
@@ -139,13 +135,11 @@ def check_biorthogonality(ham: BseHamiltonian) -> PropertyCheck:
 
 def check_qsq_spectrum_law(n: int, k: int, seed: int) -> PropertyCheck:
     """eig(Q*SQ) = 2 sigma_i(Q1)^2 - 1 and sigma_i(Q2)^2 = 1 - sigma_i(Q1)^2."""
-    import scipy.linalg as sla
-
     q = _random_orthonormal(n, k, seed)
     m = n // 2
     eig_m = np.sort(np.linalg.eigvalsh(_hermitize(q.conj().T @ apply_s(q))))
-    s1 = np.sort(sla.svdvals(q[:m]))
-    s2 = np.sort(sla.svdvals(q[m:]))[::-1]
+    s1 = np.sort(np.linalg.svd(q[:m], compute_uv=False))
+    s2 = np.sort(np.linalg.svd(q[m:], compute_uv=False))[::-1]
     law = np.abs(eig_m - (2.0 * s1**2 - 1.0)).max()
     compl = np.abs(s2**2 - (1.0 - s1**2)).max()
     ok = law <= 1e-10 and compl <= 1e-10
@@ -160,8 +154,6 @@ def _hermitize(a: np.ndarray) -> np.ndarray:
 
 def check_dual_basis(n: int, k: int, seed: int) -> PropertyCheck:
     """Biorthogonality of both explicit dual bases plus the norm identity."""
-    import scipy.linalg as sla
-
     q = _random_orthonormal(n, k, seed)
     worst_bi = 0.0
     for choice in ("full", "diagonal"):
@@ -169,7 +161,7 @@ def check_dual_basis(n: int, k: int, seed: int) -> PropertyCheck:
         worst_bi = max(worst_bi, np.abs(ql.conj().T @ q - np.eye(k)).max())
     ql_full = dual_basis_explicit(q, "full")
     lam_min = np.abs(np.linalg.eigvalsh(_hermitize(q.conj().T @ apply_s(q)))).min()
-    norm_gap = abs(sla.svdvals(ql_full)[0] - 1.0 / lam_min) * lam_min
+    norm_gap = abs(np.linalg.svd(ql_full, compute_uv=False)[0] - 1.0 / lam_min) * lam_min
     ok = worst_bi <= 1e-10 and norm_gap <= 1e-8
     return PropertyCheck(
         "dual_basis", bool(ok), f"biorthogonality {worst_bi:.3e}, norm identity {norm_gap:.3e}"
@@ -229,30 +221,38 @@ def check_petrov_galerkin(ham: BseHamiltonian, k: int, seed: int) -> PropertyChe
 
     For the backup variant the property holds with the complex reduced
     eigenvalues (the real-part truncation is applied only after
-    convergence drives the imaginary parts to zero).
+    convergence drives the imaginary parts to zero).  In float64 each
+    entry of r = H v - lam v errs by about eps max(rho, |lam|), and Q_L*
+    multiplies that by up to ||Q_L||_2, which is 1/|lambda_min(Q*SQ)| for
+    the full dual basis.  So each variant, with its own Q_L, is held to
+    1e-8 rho(SH) + 100 eps ||Q_L||_2 max(rho, max |lam_i|).  On generated
+    instances the measured value stayed below 4.4 eps ||Q_L||_2
+    max(rho, max |lam_i|) at m = 2..512 and 20 at m = 1; Ritz vectors
+    perturbed by 1e-6 (relative) read above 2e7 of it.
     """
     q = _random_orthonormal(ham.n, k, seed)
     norm = rho_sh(ham)
-    worst = 0.0
+    variants = []
     try:
         ritz, _ = build_hermitian_rq(ham, q)
+        variants.append(("hermitian", ritz.values, ritz.vectors, "full"))
     except HermitianRqError:
         pass
-    else:
-        ql = dual_basis_explicit(q, "full")
-        resid = apply_h(ham, ritz.vectors) - ritz.vectors * ritz.values
-        worst = max(worst, np.abs(ql.conj().T @ resid).max())
     _, reduced = build_backup_rq(ham, q)
     values, y = dense_general_eig(reduced.g)
     vectors = q @ y
     vectors /= np.linalg.norm(vectors, axis=0)
-    ql = dual_basis_explicit(q, "diagonal")
-    resid = apply_h(ham, vectors) - vectors * values
-    worst = max(worst, np.abs(ql.conj().T @ resid).max())
+    variants.append(("backup", values, vectors, "diagonal"))
+    passed, details = True, []
+    for name, values, vectors, choice in variants:
+        ql = dual_basis_explicit(q, choice)
+        defect = np.abs(ql.conj().T @ (apply_h(ham, vectors) - vectors * values)).max()
+        rounding = np.linalg.svd(ql, compute_uv=False)[0] * max(norm, np.abs(values).max())
+        bound = 1e-8 * norm + 100.0 * np.finfo(float).eps * rounding
+        passed = passed and bool(defect <= bound)
+        details.append(f"{name} {defect:.3e} vs {bound:.3e}")
     return PropertyCheck(
-        "petrov_galerkin_orthogonality",
-        worst <= 1e-8 * norm,
-        f"max |Q_L* r| {worst:.3e} vs {1e-8 * norm:.3e}",
+        "petrov_galerkin_orthogonality", passed, "max |Q_L* r| " + ", ".join(details)
     )
 
 

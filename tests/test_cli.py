@@ -1,3 +1,4 @@
+import ast
 import json
 import multiprocessing
 import os
@@ -13,8 +14,9 @@ from click.testing import CliRunner
 
 import bsesolve
 from bsesolve import BseHamiltonian, GeneratorSpec, SolverConfig, generate, solve
-from bsesolve import fileio
+from bsesolve import fileio, rng, verify
 from bsesolve.cli import cli
+from bsesolve.rayleigh_ritz import RitzSet
 
 from conftest import LAM2
 
@@ -618,6 +620,41 @@ class TestVerifyCommand:
         assert result.exit_code == 0
         assert "PASS  singular_direction_detection" in result.output
 
+    def test_petrov_galerkin_rounding_is_not_a_failure(self, runner):
+        # |lambda_min(Q*SQ)| = 3.8e-5 here, so ||Q_L||_2 = 2.6e4: the fixed
+        # bound 1e-8 rho(SH) read rounding, 1.706e-05 against 9.500e-06
+        result = runner.invoke(cli, ["verify", "--m", "128", "--seed", "3"])
+        assert result.exit_code == 0, result.output
+        assert "PASS  petrov_galerkin_orthogonality" in result.output
+        assert "12/12 checks passed" in result.output
+
+    @pytest.mark.parametrize("variant", ["hermitian", "backup"])
+    def test_petrov_galerkin_perturbed_ritz_vectors_fail(self, monkeypatch, variant):
+        ham = generate(GeneratorSpec(m=128, seed=3))
+
+        def perturb(x):
+            noise = rng.complex_normal_matrix(7, *x.shape)
+            return x + 1e-6 * np.linalg.norm(x, axis=0) * noise / np.linalg.norm(noise, axis=0)
+
+        if variant == "hermitian":
+            honest = verify.build_hermitian_rq
+
+            def patched(ham, q):
+                ritz, reduced = honest(ham, q)
+                return RitzSet(values=ritz.values, vectors=perturb(ritz.vectors)), reduced
+
+            monkeypatch.setattr(verify, "build_hermitian_rq", patched)
+        else:
+            honest = verify.dense_general_eig
+
+            def patched(g):
+                values, y = honest(g)
+                return values, perturb(y)
+
+            monkeypatch.setattr(verify, "dense_general_eig", patched)
+        check = verify.check_petrov_galerkin(ham, 8, rng.substream(3, 104))
+        assert not check.passed, check.detail
+
     def test_indefinite_subset(self, runner):
         result = runner.invoke(
             cli, ["verify", "--m", "6", "--seed", "4", "--coupling-ratio", "1.9",
@@ -642,6 +679,18 @@ class TestBenchCommand:
         assert len(per_rep) == 3 * len({r.split(",")[1] for r in per_rep})
         assert any(r.startswith("summary,filter") for r in rows)
         assert "total" in result.output
+
+    def test_reps_checked_before_any_input_is_read(self, runner, tmp_path, monkeypatch):
+        # the inputs were read first: missing files exited 3, not 2
+        opened = []
+        monkeypatch.setattr(fileio, "run_pair", lambda *args: opened.append(args))
+        missing = str(tmp_path / "missing.mtx")
+        result = runner.invoke(
+            cli, ["bench", "--a", missing, "--b", missing, "--nev", "2", "--reps", "0"],
+        )
+        assert result.exit_code == 2, result.output
+        assert "reps must be >= 1" in result.output
+        assert opened == []
 
     def test_manifest_echoes_every_solver_field(self, runner, tmp_path):
         a, b = _generate_inputs(runner, tmp_path / "in", m=16, seed=3)
@@ -702,23 +751,40 @@ for args in (
     ["solve", "--a", a, "--b", b, "--nev", "2", "--out", str(work / "solve")],
     ["bench", "--pchb", str(work / "pchb" / "ham.pchb"), "--nev", "2", "--reps", "1",
      "--out", str(work / "bench")],
+    ["oracle", "--a", a, "--b", b, "--out", str(work / "oracle")],
+    ["verify", "--m", "8", "--seed", "3"],
+    ["verify", "--a", a, "--b", b],
 ):
     cli(args, standalone_mode=False)
 converged = solve(generate(GeneratorSpec(m=8, seed=3)), SolverConfig(nev=2)).converged
-before = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-cli(["oracle", "--a", a, "--b", b, "--out", str(work / "oracle")], standalone_mode=False)
-print(json.dumps({"converged": bool(converged), "scipy_before_oracle": before,
-                  "scipy_after_oracle": "scipy.linalg" in sys.modules}))
+scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+print(json.dumps({"converged": bool(converged), "scipy": scipy}))
 """
 
 
 class TestProcessLoadsOneBlas:
-    """`import bsesolve`, `generate`, `solve` and `bench` load numpy's OpenBLAS
-    alone; scipy (a second OpenBLAS, about 0.3 s and 25 MB to import) loads
-    only when an oracle runs.  Checked in a fresh interpreter, because the
-    test process itself has scipy loaded."""
+    """bsesolve calls numpy.linalg only: no module imports scipy, which
+    bundles a second OpenBLAS, and no command loads it."""
 
-    def test_scipy_loads_only_for_the_oracle(self, tmp_path):
+    def test_no_module_imports_scipy(self):
+        # anywhere in a module: at its top, inside a function or a branch
+        found = []
+        for path in sorted(Path(bsesolve.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module or ""]
+                else:
+                    continue
+                found += [
+                    f"{path.name}:{node.lineno} {name}"
+                    for name in names if name.split(".")[0] == "scipy"
+                ]
+        assert found == []
+
+    def test_no_command_loads_scipy(self, tmp_path):
+        # in a fresh interpreter, because the test process has scipy loaded
         env = dict(os.environ)
         src = str(Path(bsesolve.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(
@@ -731,8 +797,7 @@ class TestProcessLoadsOneBlas:
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout.strip().splitlines()[-1])
         assert report["converged"]
-        assert report["scipy_before_oracle"] == []
-        assert report["scipy_after_oracle"]
+        assert report["scipy"] == []
         rows = [
             line.split(",")
             for line in (tmp_path / "oracle" / "eigenvalues.csv").read_text().splitlines()

@@ -59,6 +59,17 @@ class TestGeneratorSpec:
         with pytest.raises(ValidationError, match=f"^{name} must be"):
             GeneratorSpec(m=4, seed=0, mode=mode, **{name: value})
 
+    @pytest.mark.parametrize("name, value", [("m", 2.5), ("m", 4.0), ("seed", 1.5)])
+    def test_non_integer_count_is_rejected_by_name(self, name, value):
+        # m = 2.5 passed validation and ended in a bare TypeError inside numpy
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer"):
+            GeneratorSpec(**{"m": 4, "seed": 0, name: value})
+
+    def test_numpy_integers_generate_as_python_integers(self):
+        ref = generate(GeneratorSpec(m=6, seed=3))
+        ham = generate(GeneratorSpec(m=np.int64(6), seed=np.int64(3)))
+        assert ham.a.tobytes() == ref.a.tobytes() and ham.b.tobytes() == ref.b.tobytes()
+
 
 class TestGenerate:
     def test_deterministic_per_seed(self):

@@ -54,6 +54,14 @@ def test_matrix_fill_is_column_major():
     assert m[2, 1] == flat[1 * 5 + 2]
 
 
+@pytest.mark.parametrize("seed", [5, 2**63 + 5], ids=["int64", "uint64"])
+def test_numpy_integer_seeds_draw_the_same_stream(seed):
+    # np.int64 and np.uint64 seeds overflowed in `seed & 2**64 - 1`
+    numpy_seed = np.uint64(seed) if seed >= 2**63 else np.int64(seed)
+    assert rng.substream(numpy_seed, 3) == rng.substream(seed, 3)
+    assert rng.complex_normals(numpy_seed, 4).tobytes() == rng.complex_normals(seed, 4).tobytes()
+
+
 def test_streams_with_different_tags_differ():
     a = rng.complex_normals(rng.substream(3, 0), 8)
     b = rng.complex_normals(rng.substream(3, 1), 8)

@@ -183,6 +183,24 @@ class TestSolve:
         with pytest.raises(ValidationError, match="tol must be"):
             solve(ham, SolverConfig(nev=2, tol=np.inf))
 
+    @pytest.mark.parametrize("name", ["nev", "nex", "deg", "maxiter", "seed", "lanczos_steps"])
+    def test_non_integer_count_is_rejected_by_name(self, name):
+        # each passed validation and ended in a bare TypeError inside numpy
+        ham = generate(GeneratorSpec(m=8, seed=0))
+        counts = dict(nev=2, nex=2, deg=4, maxiter=3, seed=0, lanczos_steps=6)
+        counts[name] += 0.5
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer"):
+            solve(ham, SolverConfig(**counts))
+
+    def test_numpy_integers_solve_as_python_integers(self):
+        ham = generate(GeneratorSpec(m=16, seed=1))
+        counts = dict(nev=4, nex=3, deg=12, maxiter=10, seed=5, lanczos_steps=12)
+        ref = solve(ham, SolverConfig(**counts))
+        res = solve(ham, SolverConfig(**{k: np.int64(v) for k, v in counts.items()}))
+        assert res.converged and res.iterations_used == ref.iterations_used
+        assert res.lambdas.tobytes() == ref.lambdas.tobytes()
+        assert res.v.tobytes() == ref.v.tobytes()
+
     def test_trace_monotonicity(self):
         ham = generate(GeneratorSpec(m=48, seed=12))
         res = solve(ham, SolverConfig(nev=6, seed=12))
@@ -456,14 +474,10 @@ def _forbid_scipy_linalg(monkeypatch) -> list[str]:
 
 
 class TestSolvePathUsesNumpyOnly:
-    """numpy and scipy each bundle an OpenBLAS with its own thread pool; a
-    solve that crosses between them pays for both pools spinning.
-
-    The rule holds for the whole process too: no bsesolve module imports
-    scipy at module level, only the oracles and the `verify` checks import
-    it inside the function that calls it (see TestProcessLoadsOneBlas in
-    test_cli.py).  Such a function-level `import scipy.linalg` binds the
-    patched module, so the guard still catches a call made through it.
+    """bsesolve calls numpy.linalg only, so a solve runs on numpy's one
+    OpenBLAS thread pool.  No bsesolve module imports scipy and no command
+    loads it (see TestProcessLoadsOneBlas in test_cli.py); this guard also
+    catches a scipy.linalg call reached through any other module.
     """
 
     @pytest.mark.parametrize(
