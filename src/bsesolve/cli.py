@@ -258,14 +258,15 @@ def verify_cmd(m, seed, coupling_ratio, alpha, mode, a_path, b_path):
 
     Check failures are report content: the exit code stays 0.
     """
-    checks = []
     ham = None
     if a_path or b_path:
+        if m is not None:
+            raise ValidationError("--m excludes --a/--b")
         if not (a_path and b_path):
             raise ValidationError("--a and --b must be given together")
         # check the raw blocks before any symmetrization can repair them
         a_raw, b_raw = fileio.run_pair(fileio.read_matrix_market, (a_path,), (b_path,))
-        checks.append(check_structure(a_raw, b_raw))
+        checks = [check_structure(a_raw, b_raw)]
         if checks[0].passed:
             _reject_empty(a_raw.shape[0])
             try:  # each block's own scale may reject what |H|'s passed
@@ -279,9 +280,9 @@ def verify_cmd(m, seed, coupling_ratio, alpha, mode, a_path, b_path):
             m=m, seed=seed, alpha=alpha, coupling_ratio=coupling_ratio, mode=mode
         )
         ham = generate(spec)
+        checks = [check_structure(ham.a, ham.b)]
     if ham is not None:
-        suite = run_suite(ham, seed=seed)
-        checks.extend(c for c in suite if c.name not in {x.name for x in checks})
+        checks.extend(run_suite(ham, seed=seed))
     failed = 0
     for check in checks:
         mark = "PASS" if check.passed else "FAIL"

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .direct import cond_of_h, dense_general_eig, dense_hermitian_eig, rho_sh
+from .direct import dense_general_eig, dense_hermitian_eig
 from .errors import HermitianRqError, ValidationError
-from .hamiltonian import BseHamiltonian, apply_h, apply_s, inverse_cholesky, materialize
+from .hamiltonian import BseHamiltonian, apply_h, apply_s, inverse_cholesky
 from .metrics import PhaseLedger
 
 #: |lambda_min(Q*SQ)| below this (its spectrum lives in [-1, 1]) is treated
@@ -39,9 +39,6 @@ M_SINGULARITY_TOL = 1e-8
 #: Entries of diag(Q*SQ) at or below this magnitude are replaced by 1 in the
 #: backup variant, which keeps the projection property intact.
 DIAG_ZERO_TOL = 1e-12
-
-#: Matrices this size or smaller get exact ||H - lam I||_2 in diagnostics.
-_EXACT_NORM_LIMIT = 1024
 
 
 @dataclass
@@ -80,7 +77,6 @@ class ConvergenceDiagnostics:
 
     lambda_min_m: float
     delta_tilde_bound: float
-    kappa: np.ndarray
     ritz_interval: float
     spurious: np.ndarray
     singular: bool
@@ -223,47 +219,29 @@ def lock_converged(
 
 
 def diagnostics(
-    ham: BseHamiltonian,
-    q_active: np.ndarray,
-    ritz: RitzSet,
-    cond_h: float | None = None,
+    q_active: np.ndarray, ritz: RitzSet, rho: float, cond: float
 ) -> ConvergenceDiagnostics:
-    """Projection-quality bounds for one iterate.
+    """Projection-quality bounds for one iterate, from the caller's
+    rho = rho(SH) and cond = cond(H).
 
-    kappa_i = sqrt(cond(H)) ||H - lam_i I||_2 / |lambda_min(Q*SQ)| governs
-    the quadratic Ritz-value error, and every non-spurious Ritz value lies
-    in +- rho(SH)/|lambda_min(Q*SQ)|.  Singular Q*SQ yields infinite bounds
-    and the singular flag.
+    Every non-spurious Ritz value lies in +- rho/|lambda_min(Q*SQ)|.  The
+    quadratic Ritz-value error of lam is governed by kappa =
+    delta_tilde_bound ||H - lam I||_2, delta_tilde_bound =
+    sqrt(cond)/|lambda_min(Q*SQ)|; the dense norm is the caller's to form.
+    Singular Q*SQ yields infinite bounds and the singular flag.
     """
-    q = np.asarray(q_active, dtype=np.complex128)
-    mqsq = _form_m(q)
-    lam_min_m = _lambda_min_m(mqsq)
-    radius = rho_sh(ham)
+    lam_min_m = _lambda_min_m(_form_m(np.asarray(q_active, dtype=np.complex128)))
     singular = lam_min_m < M_SINGULARITY_TOL
-    if cond_h is None:
-        cond_h = cond_of_h(ham)
-    if ham.n <= _EXACT_NORM_LIMIT:
-        dense = materialize(ham)
-        shift_norms = np.array(
-            [np.linalg.norm(dense - lam * np.eye(ham.n), 2) for lam in ritz.values]
-        )
-    else:
-        shift_norms = radius + np.abs(ritz.values)
     if singular:
-        interval = np.inf
-        kappa = np.full(ritz.k, np.inf)
-        delta_bound = np.inf
+        interval = delta_bound = np.inf
     else:
-        interval = radius / lam_min_m
-        kappa = np.sqrt(cond_h) * shift_norms / lam_min_m
-        delta_bound = np.sqrt(cond_h) / lam_min_m
-    spurious = np.abs(ritz.values) > interval * (1.0 + 1e-12)
+        interval = rho / lam_min_m
+        delta_bound = np.sqrt(cond) / lam_min_m
     return ConvergenceDiagnostics(
         lambda_min_m=lam_min_m,
         delta_tilde_bound=delta_bound,
-        kappa=kappa,
         ritz_interval=interval,
-        spurious=spurious,
+        spurious=np.abs(ritz.values) > interval * (1.0 + 1e-12),
         singular=singular,
     )
 

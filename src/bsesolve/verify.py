@@ -5,6 +5,10 @@ eigendecompositions, SVDs) rather than the iterative solver path, prints
 its measured value, and never raises on failure: a failed property is
 report content.
 
+An instance's dense references (its full eigendecomposition, its dense
+H, rho(SH) and cond(H)) are formed once, in `run_suite`, and each check
+reads the ones it is given as arguments.
+
 Like the rest of bsesolve, the checks call numpy.linalg only.
 """
 
@@ -15,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .direct import cond_of_h, dense_general_eig, direct_solve_definite, rho_sh
+from .direct import (
+    FullEigendecomposition, cond_of_h, dense_general_eig, direct_solve_definite, rho_sh
+)
 from .errors import HermitianRqError
 from .generate import field_of_values_bounds, quadruplet_partners
 from .hamiltonian import (
@@ -33,6 +39,9 @@ from .rayleigh_ritz import (
     diagnostics,
     dual_basis_explicit,
 )
+
+#: Matrices this size or smaller get the exact ||H - lam I||_2 in kappa.
+_EXACT_NORM_LIMIT = 1024
 
 
 @dataclass
@@ -57,11 +66,11 @@ def check_structure(a, b) -> PropertyCheck:
     return PropertyCheck("pseudo_hermitian_structure", ok, f"max defect {defect:.3e}")
 
 
-def check_quadruplets(ham: BseHamiltonian, count: int = 4) -> PropertyCheck:
+def check_quadruplets(
+    ham: BseHamiltonian, eig: FullEigendecomposition, rho: float, count: int = 4
+) -> PropertyCheck:
     """Partner pairs generated by S, J, K keep the eigen-residual."""
-    eig = direct_solve_definite(ham)
-    norm = rho_sh(ham)
-    tol_in = 1e-10 * norm
+    tol_in = 1e-10 * rho
     worst = 0.0
     idx = np.linspace(0, ham.n - 1, num=min(count, ham.n), dtype=int)
     for i in idx:
@@ -76,13 +85,9 @@ def check_quadruplets(ham: BseHamiltonian, count: int = 4) -> PropertyCheck:
     )
 
 
-def check_field_of_values(ham: BseHamiltonian) -> PropertyCheck:
-    """Spectrum inside the box [-rho(A), rho(A)] x [-sigma_max(B), sigma_max(B)]."""
+def check_field_of_values(ham: BseHamiltonian, lams: np.ndarray) -> PropertyCheck:
+    """The spectrum lams inside [-rho(A), rho(A)] x [-sigma_max(B), sigma_max(B)]."""
     re_bound, im_bound = field_of_values_bounds(ham)
-    if is_definite(ham) is Definiteness.DEFINITE:
-        lams = direct_solve_definite(ham).lambdas.astype(complex)
-    else:
-        lams, _ = dense_general_eig(materialize(ham))
     slack = 1e-10 * max(re_bound, 1.0)
     ok = bool(
         (np.abs(lams.real) <= re_bound + slack).all()
@@ -95,35 +100,32 @@ def check_field_of_values(ham: BseHamiltonian) -> PropertyCheck:
     )
 
 
-def check_cond_identity(ham: BseHamiltonian) -> PropertyCheck:
-    """cond(SH) agrees with sigma_max(H)/sigma_min(H) to 1e-10 relative."""
-    cond_sh = cond_of_h(ham)
-    sv = np.linalg.svd(materialize(ham), compute_uv=False)
-    rel = abs(cond_sh - sv[0] / sv[-1]) / cond_sh
+def check_cond_identity(dense: np.ndarray, cond: float) -> PropertyCheck:
+    """cond = cond(SH) agrees with sigma_max(H)/sigma_min(H) to 1e-10 relative."""
+    sv = np.linalg.svd(dense, compute_uv=False)
+    rel = abs(cond - sv[0] / sv[-1]) / cond
     return PropertyCheck("cond_identity", rel <= 1e-10, f"relative gap {rel:.3e}")
 
 
-def check_left_pairs_and_symmetry(ham: BseHamiltonian) -> PropertyCheck:
+def check_left_pairs_and_symmetry(
+    eig: FullEigendecomposition, dense: np.ndarray, rho: float
+) -> PropertyCheck:
     """u = S v is a left eigenpair and the spectrum is antisymmetric."""
-    eig = direct_solve_definite(ham)
-    norm = rho_sh(ham)
     # left residual ||u* H - lam u*|| == ||H* u - lam u|| (lam real)
-    hdense = materialize(ham)
     left_res = np.linalg.norm(
-        hdense.conj().T @ eig.u - eig.u * eig.lambdas, axis=0
+        dense.conj().T @ eig.u - eig.u * eig.lambdas, axis=0
     ).max()
     anti = np.abs(eig.lambdas + eig.lambdas[::-1]).max()
-    ok = left_res <= 1e-10 * norm and anti <= 1e-10 * norm
+    ok = left_res <= 1e-10 * rho and anti <= 1e-10 * rho
     return PropertyCheck(
         "left_pairs_and_antisymmetry",
         bool(ok),
-        f"left residual {left_res:.3e}, antisymmetry {anti:.3e} (scale {norm:.3e})",
+        f"left residual {left_res:.3e}, antisymmetry {anti:.3e} (scale {rho:.3e})",
     )
 
 
-def check_biorthogonality(ham: BseHamiltonian) -> PropertyCheck:
+def check_biorthogonality(eig: FullEigendecomposition) -> PropertyCheck:
     """V* S V is diagonal with nonzero diagonal."""
-    eig = direct_solve_definite(ham)
     gram = eig.v.conj().T @ apply_s(eig.v)
     off = np.abs(gram - np.diag(np.diag(gram))).max()
     dmin = np.abs(np.diag(gram)).min()
@@ -168,7 +170,9 @@ def check_dual_basis(n: int, k: int, seed: int) -> PropertyCheck:
     )
 
 
-def check_ritz_interval(ham: BseHamiltonian, k: int, seed: int) -> PropertyCheck:
+def check_ritz_interval(
+    ham: BseHamiltonian, rho: float, cond: float, k: int, seed: int
+) -> PropertyCheck:
     """Hermitian-variant Ritz values stay inside +- rho(SH)/|lambda_min(Q*SQ)|.
 
     The interval theorem covers the hermitian-equivalent projection; the
@@ -180,10 +184,7 @@ def check_ritz_interval(ham: BseHamiltonian, k: int, seed: int) -> PropertyCheck
         ritz, _ = build_hermitian_rq(ham, q)
     except HermitianRqError:
         return PropertyCheck("ritz_interval", True, "singular Q*SQ, vacuous")
-    diag = diagnostics(ham, q, ritz)
-    if diag.singular:
-        return PropertyCheck("ritz_interval", True, "singular Q*SQ, vacuous")
-    worst = np.abs(ritz.values).max() / diag.ritz_interval
+    worst = np.abs(ritz.values).max() / diagnostics(q, ritz, rho, cond).ritz_interval
     return PropertyCheck(
         "ritz_interval", worst <= 1.0 + 1e-12, f"max |ritz| / interval {worst:.3e}"
     )
@@ -200,8 +201,8 @@ def check_singular_direction_detection(m: int) -> PropertyCheck:
     q[0, 0] = q[m, 0] = 1 / np.sqrt(2)
     from .rayleigh_ritz import RitzSet
 
-    ham = BseHamiltonian(np.eye(m), np.zeros((m, m)))
-    diag = diagnostics(ham, q, RitzSet(values=np.zeros(1), vectors=q.copy()))
+    ham = BseHamiltonian(np.eye(m), np.zeros((m, m)))  # H = diag(I, -I): rho = cond = 1
+    diag = diagnostics(q, RitzSet(values=np.zeros(1), vectors=q.copy()), 1.0, 1.0)
     refused = False
     try:
         build_hermitian_rq(ham, q)
@@ -216,7 +217,7 @@ def check_singular_direction_detection(m: int) -> PropertyCheck:
     )
 
 
-def check_petrov_galerkin(ham: BseHamiltonian, k: int, seed: int) -> PropertyCheck:
+def check_petrov_galerkin(ham: BseHamiltonian, rho: float, k: int, seed: int) -> PropertyCheck:
     """Residuals of both variants are orthogonal to the matching dual basis.
 
     For the backup variant the property holds with the complex reduced
@@ -231,7 +232,6 @@ def check_petrov_galerkin(ham: BseHamiltonian, k: int, seed: int) -> PropertyChe
     perturbed by 1e-6 (relative) read above 2e7 of it.
     """
     q = _random_orthonormal(ham.n, k, seed)
-    norm = rho_sh(ham)
     variants = []
     try:
         ritz, _ = build_hermitian_rq(ham, q)
@@ -247,8 +247,8 @@ def check_petrov_galerkin(ham: BseHamiltonian, k: int, seed: int) -> PropertyChe
     for name, values, vectors, choice in variants:
         ql = dual_basis_explicit(q, choice)
         defect = np.abs(ql.conj().T @ (apply_h(ham, vectors) - vectors * values)).max()
-        rounding = np.linalg.svd(ql, compute_uv=False)[0] * max(norm, np.abs(values).max())
-        bound = 1e-8 * norm + 100.0 * np.finfo(float).eps * rounding
+        rounding = np.linalg.svd(ql, compute_uv=False)[0] * max(rho, np.abs(values).max())
+        bound = 1e-8 * rho + 100.0 * np.finfo(float).eps * rounding
         passed = passed and bool(defect <= bound)
         details.append(f"{name} {defect:.3e} vs {bound:.3e}")
     return PropertyCheck(
@@ -258,6 +258,10 @@ def check_petrov_galerkin(ham: BseHamiltonian, k: int, seed: int) -> PropertyChe
 
 def quadratic_sweep(
     ham: BseHamiltonian,
+    eig: FullEigendecomposition,
+    dense: np.ndarray,
+    rho: float,
+    cond: float,
     target_index: int = 1,
     epsilons=(1e-2, 1e-3, 1e-4),
     k: int = 4,
@@ -272,27 +276,30 @@ def quadratic_sweep(
     C skips the eigenvalues within 1e-8 rho(SH) of the target: with one of
     the target's own eigenvectors in C the nearest Ritz value is exact for
     every eps.  Returns per-eps errors of both variants and the kappa bound
-    of the hermitian-equivalent one.
+    sqrt(cond) ||H - lam I||_2 / |lambda_min(Q*SQ)| of the hermitian-equivalent
+    Ritz value lam nearest the target (||H - lam I||_2 <= rho + |lam| above
+    n = _EXACT_NORM_LIMIT).
     """
-    eig = direct_solve_definite(ham)
     lam_t = eig.lambdas[target_index]
     v = eig.v[:, target_index]
     n = ham.n
-    apart = np.abs(eig.lambdas - lam_t) > 1e-8 * rho_sh(ham)
+    apart = np.abs(eig.lambdas - lam_t) > 1e-8 * rho
     others = np.nonzero(apart)[0][: k - 1]
     raw = rng.complex_normal_matrix(seed, n, 1)
     qfull, _ = np.linalg.qr(np.concatenate([v[:, None], raw], axis=1))
     e = qfull[:, 1]
     comp = eig.v[:, others]
-    cond_h = cond_of_h(ham)
     errs_h, errs_b, kappas = [], [], []
     for eps in epsilons:
         lead = v + eps * e
         q, _ = np.linalg.qr(np.concatenate([lead[:, None], comp], axis=1))
-        ritz_h, _ = build_hermitian_rq(ham, q)
-        errs_h.append(float(np.abs(ritz_h.values - lam_t).min()))
-        diag = diagnostics(ham, q, ritz_h, cond_h=cond_h)
-        kappas.append(float(diag.kappa[np.abs(ritz_h.values - lam_t).argmin()]))
+        ritz_h, reduced = build_hermitian_rq(ham, q)
+        dist = np.abs(ritz_h.values - lam_t)
+        errs_h.append(float(dist.min()))
+        lam = ritz_h.values[dist.argmin()]
+        exact = n <= _EXACT_NORM_LIMIT
+        shift = np.linalg.norm(dense - lam * np.eye(n), 2) if exact else rho + np.abs(lam)
+        kappas.append(float(np.sqrt(cond) * shift / reduced.lambda_min_m))
         ritz_b, _ = build_backup_rq(ham, q)
         errs_b.append(float(np.abs(ritz_b.values - lam_t).min()))
     return {
@@ -310,10 +317,13 @@ def fit_slope(epsilons, errors) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def check_quadratic_convergence(ham: BseHamiltonian, seed: int = 0) -> PropertyCheck:
+def check_quadratic_convergence(
+    ham: BseHamiltonian, eig: FullEigendecomposition, dense: np.ndarray, rho: float, cond: float,
+    seed: int = 0,
+) -> PropertyCheck:
     if ham.n <= 4:  # the sweep's 4 columns span C^n: its errors are rounding
         return PropertyCheck("quadratic_ritz_convergence", True, "space spans C^n, vacuous")
-    sweep = quadratic_sweep(ham, seed=seed)
+    sweep = quadratic_sweep(ham, eig, dense, rho, cond, seed=seed)
     slope_h = fit_slope(sweep["epsilons"], sweep["hermitian_errors"])
     slope_b = fit_slope(sweep["epsilons"], sweep["backup_errors"])
     bound_ok = bool(
@@ -329,27 +339,34 @@ def check_quadratic_convergence(ham: BseHamiltonian, seed: int = 0) -> PropertyC
 
 
 def run_suite(ham: BseHamiltonian, seed: int = 0) -> list[PropertyCheck]:
-    """All structural checks on one instance (definite or indefinite)."""
+    """The instance checks on one instance (definite or indefinite), each
+    dense reference formed once; the structure check of the blocks is the
+    caller's to run."""
     definite = is_definite(ham) is Definiteness.DEFINITE
     k = max(2, min(ham.n // 4, 8))
+    eig = direct_solve_definite(ham) if definite else None  # before H: a lower peak
+    dense = materialize(ham)
+    lams = eig.lambdas if definite else dense_general_eig(dense)[0]
     checks = [
-        check_structure(ham.a, ham.b),
-        check_field_of_values(ham),
+        check_field_of_values(ham, lams),
         # Q1 has min(k, m) singular values, one per eigenvalue only if k <= m
         check_qsq_spectrum_law(ham.n, min(k, ham.m), rng.substream(seed, 101)),
         check_dual_basis(ham.n, k, rng.substream(seed, 102)),
         check_singular_direction_detection(max(ham.m, 2)),
     ]
     if definite:
+        rho, cond = rho_sh(ham), cond_of_h(ham)
         checks.extend(
             [
-                check_quadruplets(ham),
-                check_cond_identity(ham),
-                check_left_pairs_and_symmetry(ham),
-                check_biorthogonality(ham),
-                check_ritz_interval(ham, k, rng.substream(seed, 103)),
-                check_petrov_galerkin(ham, k, rng.substream(seed, 104)),
-                check_quadratic_convergence(ham, seed=rng.substream(seed, 105)),
+                check_quadruplets(ham, eig, rho),
+                check_cond_identity(dense, cond),
+                check_left_pairs_and_symmetry(eig, dense, rho),
+                check_biorthogonality(eig),
+                check_ritz_interval(ham, rho, cond, k, rng.substream(seed, 103)),
+                check_petrov_galerkin(ham, rho, k, rng.substream(seed, 104)),
+                check_quadratic_convergence(
+                    ham, eig, dense, rho, cond, seed=rng.substream(seed, 105)
+                ),
             ]
         )
     return checks

@@ -40,6 +40,11 @@ def _instance(seed: int, m: int = M_BIG) -> bs.BseHamiltonian:
     return bs.generate(bs.GeneratorSpec(m=m, seed=seed))
 
 
+def _references(ham: bs.BseHamiltonian):
+    """The dense references `run_suite` forms: eigendecomposition, H, rho, cond."""
+    return bs.direct_solve_definite(ham), bs.materialize(ham), bs.rho_sh(ham), bs.cond_of_h(ham)
+
+
 @pytest.fixture(scope="module")
 def hermitian_runs():
     """criterion 1 batch: forced-hermitian solves at tol=1e-8, 100 seeds."""
@@ -120,7 +125,7 @@ def test_criterion_3_oracle_agreement(m):
 
 def test_criterion_4_quadratic_rayleigh_ritz():
     ham = _instance(seed=4, m=8)
-    sweep = quadratic_sweep(ham, target_index=1, seed=44)
+    sweep = quadratic_sweep(ham, *_references(ham), target_index=1, seed=44)
     slope_h = fit_slope(sweep["epsilons"], sweep["hermitian_errors"])
     slope_b = fit_slope(sweep["epsilons"], sweep["backup_errors"])
     bound_ok = bool(
@@ -153,7 +158,8 @@ class TestCriterion5StructuralSuite:
         passed = 0
         for seed in range(N_SEEDS):
             m = self._sizes(64)[seed % len(self._sizes(64))]
-            passed += check_quadruplets(_instance(3000 + seed, m)).passed
+            ham = _instance(3000 + seed, m)
+            passed += check_quadruplets(ham, bs.direct_solve_definite(ham), bs.rho_sh(ham)).passed
         _report("criterion 5a (quadruplet partners)", passed == N_SEEDS, f"{passed}/100")
         assert passed == N_SEEDS
 
@@ -161,7 +167,8 @@ class TestCriterion5StructuralSuite:
         passed = 0
         for seed in range(N_SEEDS):
             m = self._sizes(256)[seed % len(self._sizes(256))]
-            passed += check_field_of_values(_instance(3100 + seed, m)).passed
+            ham = _instance(3100 + seed, m)
+            passed += check_field_of_values(ham, bs.direct_solve_definite(ham).lambdas).passed
         _report(
             "criterion 5b (field of values, definite n<=512)",
             passed == N_SEEDS,
@@ -176,7 +183,8 @@ class TestCriterion5StructuralSuite:
             ham = bs.generate(
                 bs.GeneratorSpec(m=m, seed=3200 + seed, coupling_ratio=2.5, mode="indefinite")
             )
-            passed += check_field_of_values(ham).passed
+            lams, _ = bs.dense_general_eig(bs.materialize(ham))
+            passed += check_field_of_values(ham, lams).passed
         _report(
             "criterion 5c (field of values, indefinite n<=128)",
             passed == N_SEEDS,
@@ -188,7 +196,8 @@ class TestCriterion5StructuralSuite:
         passed = 0
         for seed in range(N_SEEDS):
             m = self._sizes(64)[seed % len(self._sizes(64))]
-            passed += check_cond_identity(_instance(3300 + seed, m)).passed
+            ham = _instance(3300 + seed, m)
+            passed += check_cond_identity(bs.materialize(ham), bs.cond_of_h(ham)).passed
         _report("criterion 5d (cond(SH) = cond(H))", passed == N_SEEDS, f"{passed}/100")
         assert passed == N_SEEDS
 
@@ -222,7 +231,8 @@ class TestCriterion5StructuralSuite:
             m = self._sizes(64)[seed % len(self._sizes(64))]
             ham = _instance(3600 + seed, m)
             k = max(1, min(m // 2, 6))
-            passed += check_ritz_interval(ham, k, rng.substream(3600 + seed, 2)).passed
+            rho, cond = bs.rho_sh(ham), bs.cond_of_h(ham)
+            passed += check_ritz_interval(ham, rho, cond, k, rng.substream(3600 + seed, 2)).passed
         _report("criterion 5g (Ritz interval)", passed == N_SEEDS, f"{passed}/100")
         assert passed == N_SEEDS
 
@@ -261,13 +271,12 @@ def test_criterion_7_left_pairs_and_antisymmetry():
     details = []
     for seed in range(20):
         m = [2, 4, 8, 16, 32][seed % 5]
-        check = check_left_pairs_and_symmetry(_instance(4300 + seed, m))
+        eig, dense, rho, _ = _references(_instance(4300 + seed, m))
+        check = check_left_pairs_and_symmetry(eig, dense, rho)
         passed += check.passed
         details.append(check.passed)
-    bio = sum(
-        check_biorthogonality(_instance(4400 + s, [4, 8, 16][s % 3])).passed
-        for s in range(20)
-    )
+    eigs = (bs.direct_solve_definite(_instance(4400 + s, [4, 8, 16][s % 3])) for s in range(20))
+    bio = sum(check_biorthogonality(eig).passed for eig in eigs)
     ok = passed == 20 and bio == 20
     _report(
         "criterion 7 (u = Sv, antisymmetric spectrum)",

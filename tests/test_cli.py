@@ -652,7 +652,7 @@ class TestVerifyCommand:
                 return values, perturb(y)
 
             monkeypatch.setattr(verify, "dense_general_eig", patched)
-        check = verify.check_petrov_galerkin(ham, 8, rng.substream(3, 104))
+        check = verify.check_petrov_galerkin(ham, bsesolve.rho_sh(ham), 8, rng.substream(3, 104))
         assert not check.passed, check.detail
 
     def test_indefinite_subset(self, runner):
@@ -662,6 +662,84 @@ class TestVerifyCommand:
         )
         assert result.exit_code == 0, result.output
         assert "field_of_values" in result.output
+
+    def test_m_excludes_loaded_blocks(self, runner, tmp_path, monkeypatch):
+        # --m with --a/--b is refused before either file is opened
+        opened = []
+        monkeypatch.setattr(fileio, "run_pair", lambda *args: opened.append(args))
+        missing = str(tmp_path / "missing.mtx")
+        result = runner.invoke(cli, ["verify", "--m", "64", "--a", missing, "--b", missing])
+        assert result.exit_code == 2, result.output
+        assert "--m excludes --a/--b" in result.output
+        assert opened == []
+
+    @pytest.mark.parametrize("source", ["generated", "loaded"])
+    def test_structure_is_checked_once(self, runner, tmp_path, monkeypatch, source):
+        # one structure check per run, on the blocks the CLI holds, printed first
+        calls = []
+        honest = verify.validate_blocks
+        monkeypatch.setattr(
+            verify, "validate_blocks", lambda a, b: calls.append(a.shape) or honest(a, b)
+        )
+        if source == "generated":
+            args = ["--m", "8", "--seed", "2"]
+        else:
+            a_path, b_path = _generate_inputs(runner, tmp_path, m=8, seed=2)
+            args = ["--a", str(a_path), "--b", str(b_path)]
+        result = runner.invoke(cli, ["verify", *args])
+        assert result.exit_code == 0, result.output
+        assert calls == [(8, 8)]
+        lines = result.output.splitlines()
+        assert lines[0].startswith("PASS  pseudo_hermitian_structure")
+        assert lines[-1] == "12/12 checks passed"
+
+
+class TestRunSuite:
+    """One run_suite call forms each dense reference of its instance once."""
+
+    def _count(self, monkeypatch, ham):
+        calls = dict.fromkeys(["direct_solve_definite", "rho_sh", "cond_of_h", "materialize"], 0)
+        for name in calls:
+            honest = getattr(verify, name)
+
+            def counted(*args, _name=name, _honest=honest):
+                calls[_name] += 1
+                return _honest(*args)
+
+            monkeypatch.setattr(verify, name, counted)
+        dense_svds = []  # SVDs of n x n arrays, and their 2-norms (one SVD each)
+        for name in ("svd", "norm"):
+            honest = getattr(np.linalg, name)
+
+            def counted(x, *args, _name=name, _honest=honest, **kwargs):
+                spectral = _name == "svd" or (args[:1] or (kwargs.get("ord"),)) == (2,)
+                if spectral and np.shape(x) == (ham.n, ham.n):
+                    dense_svds.append(_name)
+                return _honest(x, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        checks = verify.run_suite(ham)
+        return calls, len(dense_svds), checks
+
+    def test_definite_instance_forms_each_reference_once(self, monkeypatch):
+        ham = generate(GeneratorSpec(m=16, seed=0))
+        calls, dense_svds, checks = self._count(monkeypatch, ham)
+        assert calls == {
+            "direct_solve_definite": 1, "rho_sh": 1, "cond_of_h": 1, "materialize": 1,
+        }
+        # cond(H) from the singular values and kappa at each of the sweep's 3 epsilons
+        assert dense_svds <= 4
+        assert len(checks) == 11 and all(c.passed for c in checks)
+
+    def test_indefinite_instance_forms_no_definite_reference(self, monkeypatch):
+        ham = generate(GeneratorSpec(m=16, seed=0, coupling_ratio=5.0, mode="indefinite"))
+        assert ham.definiteness is bsesolve.Definiteness.INDEFINITE
+        calls, dense_svds, checks = self._count(monkeypatch, ham)
+        assert calls == {
+            "direct_solve_definite": 0, "rho_sh": 0, "cond_of_h": 0, "materialize": 1,
+        }
+        assert dense_svds == 0
+        assert len(checks) == 4
 
 
 class TestBenchCommand:

@@ -9,6 +9,7 @@ from bsesolve import (
     apply_s,
     build_backup_rq,
     build_hermitian_rq,
+    cond_of_h,
     diagnostics,
     direct_solve_definite,
     dual_basis_explicit,
@@ -258,11 +259,18 @@ class TestLocking:
 
 
 class TestDiagnostics:
+    def test_module_binds_no_dense_oracle(self):
+        # the solve-path module takes rho(SH) and cond(H) from its caller
+        import bsesolve.rayleigh_ritz as rr
+
+        for name in ("rho_sh", "cond_of_h", "materialize"):
+            assert not hasattr(rr, name), name
+
     def test_hand_case(self, ham2):
         q = np.array([[1.0], [0.0]], dtype=complex)
         ritz, _ = build_hermitian_rq(ham2, q)
         residuals(ham2, ritz)
-        diag = diagnostics(ham2, q, ritz)
+        diag = diagnostics(q, ritz, rho_sh(ham2), cond_of_h(ham2))
         assert diag.lambda_min_m == pytest.approx(1.0)
         assert diag.ritz_interval == pytest.approx(2.5)
         assert not diag.spurious.any() and not diag.singular
@@ -270,7 +278,7 @@ class TestDiagnostics:
     def test_singular_direction_flagged(self, ham_mid):
         q = _singular_column(16)
         ritz = RitzSet(values=np.array([0.0]), vectors=q.copy())
-        diag = diagnostics(ham_mid, q, ritz)
+        diag = diagnostics(q, ritz, rho_sh(ham_mid), cond_of_h(ham_mid))
         assert diag.singular
         assert np.isinf(diag.ritz_interval) and np.isinf(diag.delta_tilde_bound)
 
@@ -285,7 +293,7 @@ class TestDiagnostics:
     def test_ritz_values_inside_interval(self, ham_mid):
         q = _rand_q(32, 5, 12)
         ritz, _ = build_hermitian_rq(ham_mid, q)
-        diag = diagnostics(ham_mid, q, ritz)
+        diag = diagnostics(q, ritz, rho_sh(ham_mid), cond_of_h(ham_mid))
         assert np.abs(ritz.values).max() <= diag.ritz_interval * (1 + 1e-12)
         assert not diag.spurious.any()
 
